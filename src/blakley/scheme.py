@@ -9,7 +9,6 @@ Any t admissible shares pin Q down as the unique solution of a linear
 system; fewer than t leave x_1 completely undetermined.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -21,9 +20,11 @@ from .errors import (
     WrongShareCountError,
 )
 from .field import PrimeModulus, RandomSource, sample_uniform
-from .modlinalg import ModMatrix, ModVector, determinant, in_rowspace, solve
+from .modlinalg import ModMatrix, ModVector, in_rowspace, solve
 
-# Subset checks in admissible() cost C(n, t) determinants, so n is capped.
+# admissible() walks all C(n + 1, t) t-subsets of the n rows plus e_1, at
+# O(t) each, so n is capped. The cap still admits cells out of reach:
+# (32, 64) means C(65, 32) ~ 3.6e18 subsets.
 MAX_SHARES = 64
 
 DEFAULT_MAX_ATTEMPTS = 1024
@@ -118,6 +119,37 @@ def _normal_rows(shares, p: int) -> list:
     return [list(s.coeffs) + [p - 1] for s in shares]
 
 
+def _independent(rows: list, k: int, p: int) -> bool:
+    """Whether every k of the rows, each a list of k residues, are linearly
+    independent mod p.
+
+    Depth-first: the k-subsets that start with rows[i] are independent iff
+    rows[i] is nonzero and every k-1 of the later rows are, once rows[i]'s
+    last nonzero column is eliminated from them and dropped. Elimination is
+    thus shared by every subset with the same prefix, and k = 2 is a cross
+    product per pair.
+    """
+    if k == 2:
+        for i, (x, y) in enumerate(rows):
+            if not all((a * y - b * x) % p for a, b in rows[i + 1:]):
+                return False
+        return True
+    for i in range(len(rows) - k + 1):
+        pivot = rows[i]
+        col = k - 1
+        while col >= 0 and not pivot[col]:
+            col -= 1
+        if col < 0:
+            return False
+        neg_inv = p - pow(pivot[col], -1, p)
+        head = [v * neg_inv % p for v in pivot[:col]]
+        rest = [[(a + r[col] * b) % p for a, b in zip(r, head)] + r[col + 1:]
+                for r in rows[i + 1:]]
+        if not _independent(rest, k - 1, p):
+            return False
+    return True
+
+
 def admissible(shares) -> bool:
     """Whether a share set is safe to hand out.
 
@@ -126,22 +158,22 @@ def admissible(shares) -> bool:
     shares determines x_1, i.e. the unit vector e_1 stays outside every
     sub-threshold row space. Accepts any distinct-index collection with
     common params, not just a full dealer output.
+
+    With at least t shares, (a) and (b) together say that every t-subset
+    of the rows plus e_1 is linearly independent: a dependent (t-1)-subset
+    already makes some t-subset singular. With fewer than t shares only
+    (b) applies, and since a leaking subset leaks in every superset, it is
+    the one check that e_1 lies outside the row space of all of them.
     """
     params = _shared_params(shares)
     _require_distinct_indices(shares)
     modulus = params.modulus
     t = params.threshold
     rows = _normal_rows(shares, modulus.p)
-    for sub in itertools.combinations(rows, t):
-        if determinant(ModMatrix(sub, modulus)) == 0:
-            return False
-    e1 = ModVector([1] + [0] * (t - 1), modulus)
-    # A leaking k-subset keeps leaking inside every superset, so checking
-    # size t-1 covers all k < t.
-    for sub in itertools.combinations(rows, t - 1):
-        if sub and in_rowspace(e1, ModMatrix(sub, modulus)):
-            return False
-    return True
+    e1 = [1] + [0] * (t - 1)
+    if len(rows) < t:
+        return not in_rowspace(ModVector(e1, modulus), ModMatrix(rows, modulus))
+    return _independent([e1] + rows, t, modulus.p)
 
 
 def split(secret: int, params: SchemeParams, rng: RandomSource,
@@ -161,7 +193,9 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
     Raises:
         InvalidParamsError: secret out of range or threshold < 2.
         AdmissibilityExhaustedError: cap reached, meaning p is too small
-            for this (t, n) to pass the subset checks by chance.
+            for this (t, n) to pass the subset checks by chance; or, before
+            anything is drawn, n > max(p, t), where no admissible set
+            exists at all.
     """
     if params.threshold < 2:
         raise InvalidParamsError("splitting needs threshold >= 2")
@@ -172,6 +206,14 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
     if max_attempts < 1:
         raise InvalidParamsError("max_attempts must be positive")
     t, n = params.threshold, params.total
+    # The rows plus e_1 are n + 1 vectors in GF(p)^t of which every t are
+    # a basis. That needs n <= p when t <= p (Ball's proof of the MDS
+    # conjecture for prime fields, JEMS 2012) and n <= t when t > p.
+    if n > max(p, t):
+        raise AdmissibilityExhaustedError(
+            f"no admissible share set exists for p={p}, t={t}, n={n} (n may be"
+            f" at most max(p, t) = {max(p, t)}), so no number of attempts can find one"
+        )
     for _ in range(max_attempts):
         coords = [secret] + [sample_uniform(rng, modulus).value for _ in range(t - 1)]
         shares = []

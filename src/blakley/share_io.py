@@ -26,6 +26,28 @@ _RECORD = re.compile(
     rf" a=({_DEC}(?:,{_DEC})*) c=({_DEC})"
 )
 
+# Every valid number is below 2**62 < 10**19, so a longer one is out of
+# range whatever its digits.
+_MAX_DIGITS = 19
+
+
+class _Overlong(int):
+    """A number of more than 19 digits: it compares as 10**19, so every
+    check classifies it as it would the real value, and it never reaches
+    int(), which refuses past 4300 digits. It prints as its length."""
+
+    def __new__(cls, digits: str):
+        self = super().__new__(cls, 10 ** _MAX_DIGITS)
+        self.digits = len(digits)
+        return self
+
+    def __str__(self) -> str:
+        return f"<{self.digits}-digit number>"
+
+
+def _number(digits: str) -> int:
+    return int(digits) if len(digits) <= _MAX_DIGITS else _Overlong(digits)
+
 
 def encode_share(share: Share) -> str:
     """Render a share as its canonical BLK1 line, linefeed included."""
@@ -49,7 +71,9 @@ def decode_share(record: str) -> Share:
         MalformedFieldError: grammar violation or wrong coefficient count.
         NonPrimeModulusError: p is composite or below 2.
         RangeViolationError: t > n, i outside 1..n, n too large, value >= p,
-            or p outside the supported width.
+            or p outside the supported width. A number of more than 19
+            digits is never parsed: it fails the first of these checks
+            that bounds it, as any 20-digit number does.
     """
     line = record[:-1] if record.endswith("\n") else record
     if line.split(" ", 1)[0] != _MAGIC:
@@ -57,16 +81,16 @@ def decode_share(record: str) -> Share:
     m = _RECORD.fullmatch(line)
     if m is None:
         raise MalformedFieldError("record does not match the BLK1 grammar")
-    p_raw, t, n, i = int(m[1]), int(m[2]), int(m[3]), int(m[4])
-    coeffs = tuple(int(v) for v in m[5].split(","))
-    c = int(m[6])
+    fields = [m[1], m[2], m[3], m[4], *m[5].split(","), m[6]]
+    parse = int if max(map(len, fields)) <= _MAX_DIGITS else _number
+    p_raw, t, n, i, *coeffs, c = map(parse, fields)
     try:
         modulus = PrimeModulus(p_raw)
     except ValueError:
         raise RangeViolationError(f"p={p_raw} is wider than the supported modulus")
     if len(coeffs) != t - 1:
         raise MalformedFieldError(
-            f"t={t} requires {t - 1} coefficients, record carries {len(coeffs)}"
+            f"t={t} requires t-1 coefficients, record carries {len(coeffs)}"
         )
     if not 1 <= t <= n:
         raise RangeViolationError(f"threshold t={t} outside 1..n={n}")

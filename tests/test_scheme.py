@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +8,8 @@ from blakley import (
     AdmissibilityExhaustedError,
     InvalidParamsError,
     MixedParamsError,
+    ModMatrix,
+    ModVector,
     PrimeModulus,
     RandomSource,
     SchemeParams,
@@ -15,6 +18,9 @@ from blakley import (
     SingularSharesError,
     WrongShareCountError,
     admissible,
+    candidate_secrets,
+    determinant,
+    in_rowspace,
     reconstruct,
     reconstruct_point,
     split,
@@ -115,6 +121,16 @@ class TestAdmissible:
         with pytest.raises(WrongShareCountError):
             admissible([])
 
+    def test_pair_pinning_the_secret_below_t_minus_one_rejected(self):
+        # the two planes differ only in a_1, so subtracting them pins x_1;
+        # two shares at t = 4 are fewer than t - 1, and still they leak
+        params = SchemeParams(modulus=PrimeModulus(31), threshold=4, total=4)
+        pair = [make_share(1, (3, 7, 9), 5, params),
+                make_share(2, (8, 7, 9), 11, params)]
+        report = candidate_secrets(pair)
+        assert report.pinned and report.pinned_value() == 5
+        assert admissible(pair) is False
+
 
 class TestSplit:
     def test_round_trip_reference_params(self, reference_params):
@@ -160,6 +176,19 @@ class TestSplit:
         rng = RandomSource.seeded(2)
         with pytest.raises(AdmissibilityExhaustedError):
             split(1, params, rng, max_attempts=200)
+
+    @pytest.mark.parametrize("p, t, n", [
+        (7, 3, 10),  # t <= p: an admissible set needs n <= p
+        (2, 3, 4),  # t > p: an admissible set needs n <= t
+    ])
+    def test_fails_fast_when_no_admissible_set_can_exist(self, p, t, n):
+        class NoDraws(RandomSource):
+            def getrandbits(self, k):
+                raise AssertionError("split drew randomness")
+
+        params = SchemeParams(modulus=PrimeModulus(p), threshold=t, total=n)
+        with pytest.raises(AdmissibilityExhaustedError, match="attempts"):
+            split(1, params, NoDraws(None))
 
     def test_tight_small_case_is_exhaustion_or_valid(self):
         # p=2, t=2, n=2 leaves almost no room; either outcome is
@@ -272,3 +301,55 @@ def test_split_reconstruct_property(p, t, extra, secret, seed):
     assert admissible(shares)
     for subset in itertools.combinations(shares, t):
         assert reconstruct(list(subset)) == secret
+
+
+def admissible_by_definition(shares):
+    """admissible() as its docstring defines it, subset by subset: every
+    t-subset has a nonzero determinant, and no subset of fewer than t
+    shares has e_1 in its row space."""
+    params = shares[0].params
+    modulus, t = params.modulus, params.threshold
+    rows = [list(s.coeffs) + [-1] for s in shares]
+    for sub in itertools.combinations(rows, t):
+        if determinant(ModMatrix(sub, modulus)) == 0:
+            return False
+    e1 = ModVector([1] + [0] * (t - 1), modulus)
+    for size in range(1, t):
+        for sub in itertools.combinations(rows, size):
+            if in_rowspace(e1, ModMatrix(sub, modulus)):
+                return False
+    return True
+
+
+def random_share_set(p, t, k, seed):
+    rnd = random.Random(seed)
+    params = SchemeParams(PrimeModulus(p), t, max(k, t))
+    return [make_share(i, [rnd.randrange(p) for _ in range(t - 1)], rnd.randrange(p), params)
+            for i in range(1, k + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    t=st.integers(min_value=2, max_value=5),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_admissible_matches_definition(p, t, data, seed):
+    k = data.draw(st.integers(min_value=1, max_value=t + 4))
+    shares = random_share_set(p, t, k, seed)
+    assert admissible(shares) is admissible_by_definition(shares)
+
+
+def test_admissible_matches_definition_on_both_verdicts():
+    rnd = random.Random(2026)
+    verdicts = []
+    for _ in range(400):
+        t = rnd.randint(2, 5)
+        shares = random_share_set(rnd.choice([2, 3, 5, 7, 11, 13]), t,
+                                  rnd.randint(1, t + 4), rnd.getrandbits(32))
+        verdict = admissible(shares)
+        assert verdict is admissible_by_definition(shares)
+        verdicts.append((verdict, len(shares) >= t))
+    # accepted and rejected sets both occur, with fewer than t shares and with more
+    assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}

@@ -119,6 +119,24 @@ class TestDecodeErrors:
         with pytest.raises(BadMagicError):
             decode_share("NOPE p=073 t=0 n=5 i=9 a= c=99")
 
+    @pytest.mark.parametrize("digits", [20, 4301, 10**5])
+    @pytest.mark.parametrize("record, error", [
+        ("BLK1 p={} t=3 n=5 i=1 a=4,19 c=68", RangeViolationError),
+        ("BLK1 p=73 t={} n=5 i=1 a=4,19 c=68", MalformedFieldError),
+        ("BLK1 p=73 t=3 n={} i=1 a=4,19 c=68", RangeViolationError),
+        ("BLK1 p=73 t=3 n=5 i={} a=4,19 c=68", RangeViolationError),
+        ("BLK1 p=73 t=3 n=5 i=1 a={},19 c=68", RangeViolationError),
+        ("BLK1 p=73 t=3 n=5 i=1 a=4,19 c={}", RangeViolationError),
+        # the width of p outranks the arity, and the arity outranks values
+        ("BLK1 p={} t=3 n=5 i=1 a=4 c=68", RangeViolationError),
+        ("BLK1 p=73 t=3 n=5 i=1 a={} c=68", MalformedFieldError),
+    ])
+    def test_overlong_numbers(self, record, error, digits):
+        # 20 digits is the narrowest width out of range; CPython's int()
+        # refuses past 4300 digits, and 10**5 is far past that
+        with pytest.raises(error):
+            decode_share(record.format("7" * digits))
+
     def test_grammar_outranks_values(self):
         # malformed decimal wins over the composite modulus it spells
         with pytest.raises(MalformedFieldError):
