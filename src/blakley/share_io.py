@@ -16,7 +16,7 @@ from .errors import (
     MalformedFieldError,
     RangeViolationError,
 )
-from .field import PrimeModulus
+from .field import MAX_MODULUS_BITS, PrimeModulus
 from .scheme import MAX_SHARES, SchemeParams, Share
 
 _MAGIC = "BLK1"
@@ -26,15 +26,17 @@ _RECORD = re.compile(
     rf" a=({_DEC}(?:,{_DEC})*) c=({_DEC})"
 )
 
-# Every valid number is below 2**62 < 10**19, so a longer one is out of
-# range whatever its digits.
-_MAX_DIGITS = 19
+# Every valid number is below 2**MAX_MODULUS_BITS, so it has at most
+# _MAX_DIGITS digits, and the sentinel 10**_MAX_DIGITS exceeds every valid
+# value: a longer number is out of range whatever its digits.
+_MAX_DIGITS = len(str(2 ** MAX_MODULUS_BITS))
 
 
 class _Overlong(int):
-    """A number of more than 19 digits: it compares as 10**19, so every
-    check classifies it as it would the real value, and it never reaches
-    int(), which refuses past 4300 digits. It prints as its length."""
+    """A number of more than _MAX_DIGITS digits: it compares as
+    10**_MAX_DIGITS, so every check classifies it as it would the real
+    value, and it never reaches int(), which refuses past 4300 digits. It
+    prints as its length."""
 
     def __new__(cls, digits: str):
         self = super().__new__(cls, 10 ** _MAX_DIGITS)
@@ -82,8 +84,7 @@ def decode_share(record: str) -> Share:
     if m is None:
         raise MalformedFieldError("record does not match the BLK1 grammar")
     fields = [m[1], m[2], m[3], m[4], *m[5].split(","), m[6]]
-    parse = int if max(map(len, fields)) <= _MAX_DIGITS else _number
-    p_raw, t, n, i, *coeffs, c = map(parse, fields)
+    p_raw, t, n, i, *coeffs, c = map(_number, fields)
     try:
         modulus = PrimeModulus(p_raw)
     except ValueError:

@@ -177,6 +177,14 @@ class TestSplit:
         with pytest.raises(AdmissibilityExhaustedError):
             split(1, params, rng, max_attempts=200)
 
+    def test_exhaustion_inside_the_attempt_loop(self):
+        # p=2, t=3, n=3 passes the n > max(p, t) fail-fast, yet no
+        # admissible set exists, so split must draw and then give up
+        params = SchemeParams(modulus=PrimeModulus(2), threshold=3, total=3)
+        rng = RandomSource.seeded(1)
+        with pytest.raises(AdmissibilityExhaustedError, match="attempts"):
+            split(1, params, rng, max_attempts=8)
+
     @pytest.mark.parametrize("p, t, n", [
         (7, 3, 10),  # t <= p: an admissible set needs n <= p
         (2, 3, 4),  # t > p: an admissible set needs n <= t
