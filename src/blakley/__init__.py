@@ -24,6 +24,7 @@ from .errors import (
     MalformedFieldError,
     MixedParamsError,
     ModulusMismatchError,
+    ModulusTooWideError,
     NonPrimeModulusError,
     NotSquareError,
     RangeViolationError,
@@ -86,6 +87,7 @@ __all__ = [
     "ModMatrix",
     "ModVector",
     "ModulusMismatchError",
+    "ModulusTooWideError",
     "NonPrimeModulusError",
     "NotSquareError",
     "PrimeModulus",

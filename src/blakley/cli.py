@@ -20,6 +20,7 @@ from .errors import (
     InvalidParamsError,
     MalformedFieldError,
     MixedParamsError,
+    ModulusTooWideError,
     NonPrimeModulusError,
     RangeViolationError,
     SharesNotBelowThresholdError,
@@ -41,6 +42,7 @@ _USAGE_ERRORS = (
     MixedParamsError,
     WrongShareCountError,
     NonPrimeModulusError,
+    ModulusTooWideError,
     BadMagicError,
     MalformedFieldError,
     RangeViolationError,

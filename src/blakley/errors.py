@@ -23,6 +23,10 @@ class ModulusMismatchError(BlakleyError):
     """Two operands belong to different prime fields."""
 
 
+class ModulusTooWideError(BlakleyError, ValueError):
+    """The modulus is wider than the supported MAX_MODULUS_BITS."""
+
+
 # linear algebra
 
 class NotSquareError(BlakleyError):

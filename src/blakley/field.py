@@ -6,18 +6,40 @@ and the primality test below remains deterministic.
 """
 
 from dataclasses import dataclass
+import functools
 import random
 
-from .errors import ModulusMismatchError, NonPrimeModulusError, ZeroInverseError
+from .errors import (
+    ModulusMismatchError,
+    ModulusTooWideError,
+    NonPrimeModulusError,
+    ZeroInverseError,
+)
 
 MAX_MODULUS_BITS = 62
 
 # Witnesses proving primality for every n < 3.3e24, far past the 62-bit cap.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Verdicts kept by is_prime. Bounded, so a stream of records with distinct
+# primes cannot grow memory; a share set uses one prime, so a few suffice.
+_PRIME_CACHE_SIZE = 64
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n below 2**64."""
+    """Deterministic Miller-Rabin, exact for all n below 2**64.
+
+    Each verdict is remembered in a bounded LRU cache, so a prime is
+    proved once however many shares name it. The cache is reachable as
+    is_prime.cache_info() and is_prime.cache_clear().
+    """
+    return _miller_rabin(n)
+
+
+# The cache sits behind is_prime so that the public name stays a plain
+# function, which tools can introspect and wrap like the module's others.
+@functools.lru_cache(maxsize=_PRIME_CACHE_SIZE)
+def _miller_rabin(n: int) -> bool:
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -43,6 +65,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+is_prime.cache_info = _miller_rabin.cache_info
+is_prime.cache_clear = _miller_rabin.cache_clear
+
+
 @dataclass(frozen=True)
 class PrimeModulus:
     """A validated prime field modulus."""
@@ -53,7 +79,7 @@ class PrimeModulus:
         if not isinstance(self.p, int):
             raise NonPrimeModulusError(f"modulus must be an integer, got {type(self.p).__name__}")
         if self.p.bit_length() > MAX_MODULUS_BITS:
-            raise ValueError(f"modulus must fit in {MAX_MODULUS_BITS} bits")
+            raise ModulusTooWideError(f"modulus must fit in {MAX_MODULUS_BITS} bits")
         if self.p < 2 or not is_prime(self.p):
             raise NonPrimeModulusError(f"{self.p} is not prime")
 

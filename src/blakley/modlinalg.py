@@ -1,12 +1,14 @@
 """Exact dense linear algebra over GF(p).
 
 Matrices are small (share systems are at most 64 x 64), so everything
-here is plain Gauss-Jordan elimination on Python ints. Entries are
-canonical residues in [0, p).
+here rests on one kernel: forward elimination to row echelon form on
+lists of Python ints, with inverses from pow(x, -1, p). determinant,
+rank and in_rowspace read the pivots; solve back-substitutes. Entries
+are canonical residues in [0, p).
 """
 
 from .errors import DimensionMismatchError, ModulusMismatchError, NotSquareError, SingularMatrixError
-from .field import PrimeModulus, inv_mod
+from .field import PrimeModulus
 
 
 class ModMatrix:
@@ -80,42 +82,41 @@ class ModVector:
         return f"ModVector{self.entries} mod {self.modulus.p}"
 
 
-def _gauss_jordan(rows: list, p: int, pivot_cols: int = None) -> tuple:
-    """Reduce rows in place to reduced row echelon form.
+def _echelon(rows: list, p: int, ncols: int) -> tuple:
+    """Forward-eliminate rows in place to row echelon form mod p.
 
-    Pivots are the first nonzero entry found in each column, and only
-    the first pivot_cols columns are eligible (all columns by default);
-    an augmented system restricts pivoting to its coefficient block so
-    the right-hand side cannot masquerade as a pivot. Returns
-    (rank, pivot_product) where pivot_product folds in the row-swap
-    sign; for a full-rank square input it equals the determinant.
+    Only the first ncols columns may hold a pivot, so the right-hand side
+    of an augmented system can never act as one. Returns (rank, det): the
+    first rank rows are then the pivot rows, with the entries right of
+    each pivot divided by it, and det is the product of the pivots with
+    the sign of the row swaps, the determinant when a square input has
+    full rank. Only the columns right of a pivot are updated in the rows
+    below it, about n^3/3 multiply-mods for n x n, so the entries of those
+    rows in pivot columns are stale and must not be read.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if pivot_cols is None else pivot_cols
     det = 1
     rk = 0
     for c in range(ncols):
         if rk == nrows:
             break
-        piv = None
-        for i in range(rk, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+        piv = rk
+        while piv < nrows and not rows[piv][c]:
+            piv += 1
+        if piv == nrows:
             continue
         if piv != rk:
             rows[rk], rows[piv] = rows[piv], rows[rk]
-            det = (p - det) % p
+            det = -det
         pivval = rows[rk][c]
         det = det * pivval % p
-        inv = inv_mod(pivval, p)
-        prow = [v * inv % p for v in rows[rk]]
-        rows[rk] = prow
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != rk and f:
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], prow)]
+        inv = pow(pivval, -1, p)
+        tail = [v * inv % p for v in rows[rk][c + 1:]]
+        rows[rk][c + 1:] = tail
+        for r in rows[rk + 1:]:
+            f = r[c]
+            if f:
+                r[c + 1:] = [(v - f * w) % p for v, w in zip(r[c + 1:], tail)]
         rk += 1
     return rk, det
 
@@ -134,15 +135,12 @@ def determinant(m: ModMatrix) -> int:
     """
     if m.rows != m.cols:
         raise NotSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    rows = m.to_rows()
-    rk, det = _gauss_jordan(rows, m.modulus.p)
+    rk, det = _echelon(m.to_rows(), m.modulus.p, m.cols)
     return det if rk == m.rows else 0
 
 
 def rank(m: ModMatrix) -> int:
-    rows = m.to_rows()
-    rk, _ = _gauss_jordan(rows, m.modulus.p)
-    return rk
+    return _echelon(m.to_rows(), m.modulus.p, m.cols)[0]
 
 
 def solve(a: ModMatrix, b: ModVector) -> ModVector:
@@ -157,14 +155,18 @@ def solve(a: ModMatrix, b: ModVector) -> ModVector:
         raise DimensionMismatchError(f"coefficient matrix is {a.rows}x{a.cols}, not square")
     if len(b) != a.rows:
         raise DimensionMismatchError(f"b has length {len(b)}, expected {a.rows}")
+    n, p = a.rows, modulus.p
     rows = a.to_rows()
     for r, bv in zip(rows, b.entries):
         r.append(bv)
-    rk, _ = _gauss_jordan(rows, modulus.p, pivot_cols=a.cols)
-    if rk < a.rows:
+    if _echelon(rows, p, n)[0] < n:
         raise SingularMatrixError("matrix is singular mod p")
-    # full rank means the left block reduced to the identity
-    return ModVector([r[-1] for r in rows], modulus)
+    # Full rank puts pivot i in column i, with row i right of it divided by it.
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        r = rows[i]
+        x[i] = (r[n] - sum(u * v for u, v in zip(r[i + 1:n], x[i + 1:]))) % p
+    return ModVector(x, modulus)
 
 
 def in_rowspace(v: ModVector, m: ModMatrix) -> bool:

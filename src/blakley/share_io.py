@@ -14,6 +14,7 @@ import re
 from .errors import (
     BadMagicError,
     MalformedFieldError,
+    ModulusTooWideError,
     RangeViolationError,
 )
 from .field import MAX_MODULUS_BITS, PrimeModulus
@@ -87,7 +88,7 @@ def decode_share(record: str) -> Share:
     p_raw, t, n, i, *coeffs, c = map(_number, fields)
     try:
         modulus = PrimeModulus(p_raw)
-    except ValueError:
+    except ModulusTooWideError:
         raise RangeViolationError(f"p={p_raw} is wider than the supported modulus")
     if len(coeffs) != t - 1:
         raise MalformedFieldError(
@@ -99,7 +100,10 @@ def decode_share(record: str) -> Share:
         raise RangeViolationError(f"n={n} exceeds the {MAX_SHARES} share cap")
     if not 1 <= i <= n:
         raise RangeViolationError(f"index i={i} outside 1..{n}")
-    for v in (*coeffs, c):
+    # Name the field, never its value: c + p would reveal the constant c.
+    for j, v in enumerate(coeffs, 1):
         if v >= p_raw:
-            raise RangeViolationError(f"value {v} is not reduced mod p={p_raw}")
+            raise RangeViolationError(f"coefficient a[{j}] is not reduced mod p={p_raw}")
+    if c >= p_raw:
+        raise RangeViolationError(f"c is not reduced mod p={p_raw}")
     return Share(i, coeffs, c, SchemeParams(modulus, t, n))

@@ -56,6 +56,14 @@ class TestSplit:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_wide_prime(self, tmp_path, capsys):
+        # 2**62 + 135 is the smallest 63-bit prime
+        rc = main(["split", "--secret", "1", "--prime", str(2**62 + 135),
+                   "--threshold", "2", "--shares", "3",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_exhaustion_exit_code(self, tmp_path, capsys):
         # no admissible 4-plane set exists mod 3 at threshold 3
         rc = main(["split", "--secret", "1", "--prime", "3",

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blakley import (
+    BlakleyError,
     FieldElement,
     ModulusMismatchError,
+    ModulusTooWideError,
     NonPrimeModulusError,
     PrimeModulus,
     RandomSource,
@@ -72,6 +74,13 @@ class TestPrimeModulus:
         with pytest.raises(ValueError):
             PrimeModulus(p)
 
+    def test_wide_modulus_error_class(self):
+        # the smallest 63-bit prime
+        with pytest.raises(ModulusTooWideError) as info:
+            PrimeModulus(2**62 + 135)
+        assert isinstance(info.value, BlakleyError)
+        assert isinstance(info.value, ValueError)
+
     def test_largest_62_bit_prime_accepted(self):
         p = 2**62 - 1
         while not is_prime(p):
@@ -81,6 +90,28 @@ class TestPrimeModulus:
     def test_rejects_non_int(self):
         with pytest.raises(NonPrimeModulusError):
             PrimeModulus(7.0)
+
+
+class TestPrimeCache:
+    def test_cold_and_warm_calls_match_trial_division(self):
+        values = (*range(5001), 561, 1105, 1729)
+        is_prime.cache_clear()
+        for n in values:
+            expected = trial_division(n)
+            assert is_prime(n) == expected, n
+            assert is_prime(n) == expected, n
+        # the first call of each value was proved, the second was cached
+        info = is_prime.cache_info()
+        assert (info.misses, info.hits) == (len(values), len(values))
+
+    def test_cache_is_bounded(self):
+        maxsize = is_prime.cache_info().maxsize
+        assert isinstance(maxsize, int)
+        primes = [n for n in range(2, 10**4) if trial_division(n)][:maxsize + 10]
+        assert len(primes) == maxsize + 10
+        for p in primes:
+            PrimeModulus(p)
+        assert is_prime.cache_info().currsize <= maxsize
 
 
 class TestArithmetic:

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blakley import (
     DimensionMismatchError,
@@ -218,3 +219,76 @@ class TestMatmul:
             ModMatrix([[1, 2], [3]], mod73)
         with pytest.raises(DimensionMismatchError):
             ModMatrix([], mod73)
+
+
+
+# Properties of the elimination kernel, checked against brute force at the
+# smallest primes, where pivots are often zero (so rows get swapped) and
+# random matrices are often singular.
+SMALL_PRIMES = st.sampled_from([2, 3, 5, 7])
+SHAPES = {"tall": (4, 3), "wide": (2, 4), "square": (3, 3)}
+
+
+def residues(p, size):
+    return st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
+
+
+def combination(lam, rows, p, ncols):
+    """sum_i lam_i rows_i mod p."""
+    return [sum(u * r[j] for u, r in zip(lam, rows)) % p for j in range(ncols)]
+
+
+@st.composite
+def matrices(draw, nrows, ncols):
+    """A (p, rows) pair; about half the time one row, anywhere, is a
+    combination of the others (a zero row when there is only one)."""
+    p = draw(SMALL_PRIMES)
+    rows = draw(st.lists(residues(p, ncols), min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        rows[-1] = combination(draw(residues(p, nrows - 1)), rows[:-1], p, ncols)
+        rows = [rows[i] for i in draw(st.permutations(range(nrows)))]
+    return p, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_determinant_property(n, data):
+    p, rows = data.draw(matrices(n, n))
+    assert determinant(ModMatrix(rows, PrimeModulus(p))) == det_cofactor(rows, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), consistent=st.booleans(), data=st.data())
+def test_solve_property(n, consistent, data):
+    p, rows = data.draw(matrices(n, n))
+    if consistent:
+        # b = A x, so a singular A has several solutions, never none
+        x = data.draw(residues(p, n))
+        b = [sum(u * v for u, v in zip(r, x)) % p for r in rows]
+    else:
+        b = data.draw(residues(p, n))
+    m = PrimeModulus(p)
+    hits = solve_exhaustive(rows, b, p)
+    if len(hits) == 1:
+        assert solve(ModMatrix(rows, m), ModVector(b, m)).entries == hits[0]
+    else:
+        with pytest.raises(SingularMatrixError):
+            solve(ModMatrix(rows, m), ModVector(b, m))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@settings(max_examples=80, deadline=None)
+@given(in_span=st.booleans(), data=st.data())
+def test_rank_and_rowspace_property(shape, in_span, data):
+    nrows, ncols = SHAPES[shape]
+    p, rows = data.draw(matrices(nrows, ncols))
+    spanned = {tuple(combination(lam, rows, p, ncols))
+               for lam in itertools.product(range(p), repeat=nrows)}
+    if in_span:
+        v = combination(data.draw(residues(p, nrows)), rows, p, ncols)
+    else:
+        v = data.draw(residues(p, ncols))
+    m = PrimeModulus(p)
+    a = ModMatrix(rows, m)
+    assert p ** rank(a) == len(spanned)
+    assert in_rowspace(ModVector(v, m), a) == (tuple(v) in spanned)

@@ -143,6 +143,27 @@ class TestDecodeErrors:
             decode_share("BLK1 p=04 t=2 n=2 i=1 a=1 c=1")
 
 
+class TestErrorsHideValues:
+    # A value at or above p is named, never printed: c + p reveals c.
+    @pytest.mark.parametrize("field", ["c", "a[1]"])
+    def test_unreduced_value_not_echoed(self, field):
+        p = 2**61 - 1
+        params = SchemeParams(modulus=PrimeModulus(p), threshold=3, total=5)
+        share = split(59, params, RandomSource.seeded(77))[0]
+        a1, a2 = share.coeffs
+        c = share.constant
+        if field == "c":
+            record, true_value = f"BLK1 p={p} t=3 n=5 i=1 a={a1},{a2} c={c + p}", c
+        else:
+            record, true_value = f"BLK1 p={p} t=3 n=5 i=1 a={a1 + p},{a2} c={c}", a1
+        with pytest.raises(RangeViolationError) as info:
+            decode_share(record)
+        message = str(info.value)
+        assert field in message
+        assert str(true_value + p) not in message
+        assert str(true_value) not in message
+
+
 class TestSplitInterop:
     def test_split_output_round_trips(self):
         params = SchemeParams(modulus=PrimeModulus(101), threshold=3, total=5)
