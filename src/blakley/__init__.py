@@ -12,7 +12,6 @@ from .analysis import (
     ThresholdSummary,
     candidate_secrets,
     corruption_thresholds,
-    share_space_overhead,
 )
 from .errors import (
     AdmissibilityExhaustedError,
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .field import (
     MAX_MODULUS_BITS,
-    FieldElement,
     PrimeModulus,
     RandomSource,
     inv_mod,
@@ -48,8 +46,6 @@ from .modlinalg import (
     ModVector,
     determinant,
     in_rowspace,
-    mat_vec,
-    matmul,
     rank,
     solve,
 )
@@ -77,7 +73,6 @@ __all__ = [
     "DimensionMismatchError",
     "ENUMERATION_LIMIT",
     "EnumerationTooLargeError",
-    "FieldElement",
     "InvalidParamsError",
     "LeakageReport",
     "MAX_MODULUS_BITS",
@@ -111,13 +106,10 @@ __all__ = [
     "in_rowspace",
     "inv_mod",
     "is_prime",
-    "mat_vec",
-    "matmul",
     "rank",
     "reconstruct",
     "reconstruct_point",
     "sample_uniform",
-    "share_space_overhead",
     "solve",
     "split",
     "verify_share",

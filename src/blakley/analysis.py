@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from .errors import (
     EnumerationTooLargeError,
     InvalidParamsError,
-    MixedParamsError,
     SharesNotBelowThresholdError,
 )
 from .field import PrimeModulus
-from .scheme import SchemeParams
+from .scheme import SchemeParams, _shared_params
 
 # Full scans beyond this many points are refused.
 ENUMERATION_LIMIT = 10**7
@@ -57,7 +56,6 @@ class ThresholdSummary:
 
     secrecy: int
     integrity: int
-    availability_note: str
 
 
 def candidate_secrets(shares, *, modulus: PrimeModulus = None,
@@ -74,10 +72,7 @@ def candidate_secrets(shares, *, modulus: PrimeModulus = None,
         MixedParamsError: shares disagree on (p, t, n).
     """
     if shares:
-        params = shares[0].params
-        for s in shares[1:]:
-            if s.params != params:
-                raise MixedParamsError("shares use different parameters")
+        params = _shared_params(shares)
         if modulus is not None and modulus != params.modulus:
             raise InvalidParamsError("explicit modulus disagrees with the shares")
         if threshold is not None and threshold != params.threshold:
@@ -132,14 +127,4 @@ def corruption_thresholds(params: SchemeParams) -> ThresholdSummary:
     return ThresholdSummary(
         secrecy=t,
         integrity=n - t + 1,
-        availability_note=(
-            f"any {t} of the {n} shares reconstruct, so availability "
-            f"improves with every extra shareholder"
-        ),
     )
-
-
-def share_space_overhead(params: SchemeParams) -> float:
-    """Share size over secret size: each share stores t field values."""
-    bits = (params.modulus.p - 1).bit_length()
-    return (params.threshold * bits) / bits

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .field import PrimeModulus, RandomSource, is_prime, sample_uniform
 from .scheme import SchemeParams, reconstruct, split
-from .share_io import decode_share, encode_share
+from .share_io import MAX_RECORD_LEN, decode_share, encode_share
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,7 +55,13 @@ def _rng(seed) -> RandomSource:
 
 
 def _read_share(path: str):
-    return decode_share(Path(path).read_text())
+    # Read one character past the longest valid record, so an endless or
+    # huge file costs bounded memory and still fails as too long.
+    with open(path) as fh:
+        record = fh.read(MAX_RECORD_LEN + 1)
+    if len(record) > MAX_RECORD_LEN:
+        raise MalformedFieldError(f"share file is longer than {MAX_RECORD_LEN} characters")
+    return decode_share(record)
 
 
 def cmd_split(args) -> int:
@@ -156,7 +162,7 @@ def cmd_bench(args) -> int:
         split_total = 0.0
         rec_total = 0.0
         for _ in range(args.trials):
-            secret = sample_uniform(rng, modulus).value
+            secret = sample_uniform(rng, modulus)
             t0 = time.perf_counter()
             shares = split(secret, params, rng)
             split_total += time.perf_counter() - t0

@@ -1,6 +1,6 @@
-"""Arithmetic in the prime field GF(p).
+"""The prime field GF(p): a validated modulus, inverses and uniform draws.
 
-Values are kept as canonical representatives in [0, p). Moduli are
+Field values are plain ints, canonical residues in [0, p). Moduli are
 capped at 62 bits so every intermediate product stays comfortably exact
 and the primality test below remains deterministic.
 """
@@ -10,7 +10,6 @@ import functools
 import random
 
 from .errors import (
-    ModulusMismatchError,
     ModulusTooWideError,
     NonPrimeModulusError,
     ZeroInverseError,
@@ -103,58 +102,6 @@ def inv_mod(a: int, p: int) -> int:
     return old_s % p
 
 
-class FieldElement:
-    """An element of GF(p), always stored as its canonical representative."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: PrimeModulus):
-        object.__setattr__(self, "value", value % modulus.p)
-        object.__setattr__(self, "modulus", modulus)
-
-    def _common(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ModulusMismatchError(
-                f"mixed moduli {self.modulus.p} and {other.modulus.p}"
-            )
-        return self.modulus.p
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        p = self._common(other)
-        return FieldElement((self.value + other.value) % p, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        p = self._common(other)
-        return FieldElement((self.value - other.value) % p, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        p = self._common(other)
-        return FieldElement(self.value * other.value % p, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
-    def inv(self) -> "FieldElement":
-        """Multiplicative inverse; zero is rejected."""
-        return FieldElement(inv_mod(self.value, self.modulus.p), self.modulus)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.modulus == other.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value}, mod {self.modulus.p})"
-
-
 class RandomSource:
     """Randomness injected into sampling and share generation.
 
@@ -181,8 +128,8 @@ class RandomSource:
         return self._rng.sample(population, k)
 
 
-def sample_uniform(rng: RandomSource, modulus: PrimeModulus) -> FieldElement:
-    """Uniform draw from GF(p).
+def sample_uniform(rng: RandomSource, modulus: PrimeModulus) -> int:
+    """Uniform draw from GF(p), as its canonical residue in [0, p).
 
     Rejection sampling on bit_length(p)-bit draws, so no residue is
     favored by a modulo fold.
@@ -192,4 +139,4 @@ def sample_uniform(rng: RandomSource, modulus: PrimeModulus) -> FieldElement:
     while True:
         v = rng.getrandbits(k)
         if v < p:
-            return FieldElement(v, modulus)
+            return v

@@ -29,10 +29,6 @@ class ModMatrix:
         self.cols = cols
         self.modulus = modulus
 
-    @classmethod
-    def identity(cls, n: int, modulus: PrimeModulus) -> "ModMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], modulus)
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
@@ -175,23 +171,3 @@ def in_rowspace(v: ModVector, m: ModMatrix) -> bool:
     if len(v) != m.cols:
         raise DimensionMismatchError(f"vector length {len(v)} vs {m.cols} columns")
     return rank(m) == rank(m.append_row(v.entries))
-
-
-def matmul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
-    modulus = _common_modulus(a, b)
-    if a.cols != b.rows:
-        raise DimensionMismatchError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    p = modulus.p
-    bcols = [[b.entries[i * b.cols + j] for i in range(b.rows)] for j in range(b.cols)]
-    out = [[sum(x * y for x, y in zip(a.row(i), col)) % p for col in bcols]
-           for i in range(a.rows)]
-    return ModMatrix(out, modulus)
-
-
-def mat_vec(a: ModMatrix, x: ModVector) -> ModVector:
-    modulus = _common_modulus(a, x)
-    if len(x) != a.cols:
-        raise DimensionMismatchError(f"vector length {len(x)} vs {a.cols} columns")
-    p = modulus.p
-    return ModVector([sum(u * w for u, w in zip(a.row(i), x.entries)) % p
-                      for i in range(a.rows)], modulus)

@@ -215,10 +215,10 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
             f" at most max(p, t) = {max(p, t)}), so no number of attempts can find one"
         )
     for _ in range(max_attempts):
-        coords = [secret] + [sample_uniform(rng, modulus).value for _ in range(t - 1)]
+        coords = [secret] + [sample_uniform(rng, modulus) for _ in range(t - 1)]
         shares = []
         for i in range(1, n + 1):
-            coeffs = tuple(sample_uniform(rng, modulus).value for _ in range(t - 1))
+            coeffs = tuple(sample_uniform(rng, modulus) for _ in range(t - 1))
             c = (coords[-1] - sum(a * x for a, x in zip(coeffs, coords))) % p
             shares.append(Share(i, coeffs, c, params))
         if admissible(shares):

@@ -32,6 +32,14 @@ _RECORD = re.compile(
 # value: a longer number is out of range whatever its digits.
 _MAX_DIGITS = len(str(2 ** MAX_MODULUS_BITS))
 
+# The longest valid record, linefeed included: t = n = i = MAX_SHARES and
+# every other number _MAX_DIGITS wide. A reader never needs more.
+_WIDEST = "9" * _MAX_DIGITS
+MAX_RECORD_LEN = len(
+    f"{_MAGIC} p={_WIDEST} t={MAX_SHARES} n={MAX_SHARES} i={MAX_SHARES}"
+    f" a={','.join([_WIDEST] * (MAX_SHARES - 1))} c={_WIDEST}\n"
+)
+
 
 class _Overlong(int):
     """A number of more than _MAX_DIGITS digits: it compares as

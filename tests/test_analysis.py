@@ -15,7 +15,6 @@ from blakley import (
     candidate_secrets,
     corruption_thresholds,
     inv_mod,
-    share_space_overhead,
     split,
 )
 
@@ -153,11 +152,3 @@ class TestCorruptionThresholds:
     def test_reference_values(self, reference_params):
         summary = corruption_thresholds(reference_params)
         assert (summary.secrecy, summary.integrity) == (3, 3)
-        assert summary.availability_note
-
-
-class TestShareSpaceOverhead:
-    def test_equals_threshold(self):
-        for p, t, n in [(73, 3, 5), (5, 2, 3), (101, 4, 6)]:
-            params = SchemeParams(modulus=PrimeModulus(p), threshold=t, total=n)
-            assert share_space_overhead(params) == float(t)

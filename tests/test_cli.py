@@ -1,7 +1,9 @@
 import pytest
 
-from blakley import PrimeModulus, SchemeParams, Share, encode_share
+from blakley import MalformedFieldError, PrimeModulus, SchemeParams, Share, encode_share
+from blakley import cli
 from blakley.cli import main
+from blakley.share_io import MAX_RECORD_LEN
 
 
 @pytest.fixture
@@ -204,6 +206,54 @@ class TestInspect:
         bad.write_text("BLK1 p=73 t=3 n=5 i=1 a=4,19\n")
         assert main(["inspect", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_longest_valid_record_is_read(self, tmp_path, capsys):
+        # t = n = i = 64 and every other number 19 digits wide, under the
+        # largest 62-bit prime: the record is exactly MAX_RECORD_LEN long
+        params = SchemeParams(PrimeModulus(2**62 - 57), 64, 64)
+        share = Share(64, (10**18,) * 63, 10**18, params)
+        assert len(encode_share(share)) == MAX_RECORD_LEN
+        f = write_share(tmp_path, "widest.blk", share)
+        assert main(["inspect", f]) == 0
+        assert f"constant: {10**18}" in capsys.readouterr().out
+
+
+class TestOversizedFile:
+    @pytest.fixture
+    def huge(self, tmp_path):
+        path = tmp_path / "huge.blk"
+        path.write_text("BLK1 " + "9" * (2 * MAX_RECORD_LEN - 5))
+        return str(path)
+
+    def test_raises_malformed_field_error(self, huge):
+        with pytest.raises(MalformedFieldError):
+            cli._read_share(huge)
+
+    def test_endless_file_is_read_in_bounded_memory(self, monkeypatch):
+        # like /dev/zero: reading to the end would never return
+        sizes = []
+
+        class Endless:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self, size=-1):
+                assert size is not None and size >= 0, "unbounded read"
+                sizes.append(size)
+                return ("BLK1 " + "9" * size)[:size]
+
+        monkeypatch.setattr(cli, "open", lambda path: Endless(), raising=False)
+        with pytest.raises(MalformedFieldError):
+            cli._read_share("endless.blk")
+        assert sum(sizes) <= MAX_RECORD_LEN + 1
+
+    @pytest.mark.parametrize("command", ["inspect", "combine", "analyze"])
+    def test_exits_2(self, huge, command, capsys):
+        assert main([command, huge]) == 2
+        assert f"longer than {MAX_RECORD_LEN} characters" in capsys.readouterr().err
 
 
 class TestBench:

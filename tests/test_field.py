@@ -1,13 +1,10 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from blakley import (
     BlakleyError,
-    FieldElement,
-    ModulusMismatchError,
     ModulusTooWideError,
     NonPrimeModulusError,
     PrimeModulus,
@@ -114,58 +111,14 @@ class TestPrimeCache:
         assert is_prime.cache_info().currsize <= maxsize
 
 
-class TestArithmetic:
-    def test_reference_values(self, mod73):
-        fe = FieldElement
-        assert (fe(52, mod73) * fe(42, mod73)).value == 67
-        assert (fe(0, mod73) - fe(1, mod73)).value == 72
-        assert (fe(72, mod73) + fe(1, mod73)).value == 0
-
-    def test_construction_canonicalizes(self, mod73):
-        assert FieldElement(73 + 5, mod73).value == 5
-        assert FieldElement(-1, mod73).value == 72
-        assert (-FieldElement(1, mod73)).value == 72
-
-    def test_results_stay_canonical(self, mod73):
-        for a in range(0, 73, 7):
-            for b in range(0, 73, 11):
-                for r in (FieldElement(a, mod73) + FieldElement(b, mod73),
-                          FieldElement(a, mod73) - FieldElement(b, mod73),
-                          FieldElement(a, mod73) * FieldElement(b, mod73)):
-                    assert 0 <= r.value < 73
-
-    def test_modulus_mismatch(self, mod73):
-        other = FieldElement(1, PrimeModulus(5))
-        mine = FieldElement(1, mod73)
-        for op in (lambda: mine + other, lambda: mine - other, lambda: mine * other):
-            with pytest.raises(ModulusMismatchError):
-                op()
-
-    def test_non_element_operand(self, mod73):
-        with pytest.raises(TypeError):
-            FieldElement(1, mod73) + 1
-
-    def test_eq_and_hash(self, mod73):
-        a = FieldElement(5, mod73)
-        b = FieldElement(73 + 5, mod73)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != FieldElement(5, PrimeModulus(5))
-        assert int(a) == 5
-
-
 class TestInverse:
-    def test_reference_values(self, mod73):
-        assert FieldElement(1, mod73).inv().value == 1
-        assert FieldElement(19, mod73).inv().value == 50
+    def test_reference_values(self):
         assert 19 * 50 % 73 == 1
         assert inv_mod(19, 73) == 50
 
-    def test_zero_rejected(self, mod73):
+    def test_zero_rejected(self):
         with pytest.raises(ZeroInverseError):
             inv_mod(0, 73)
-        with pytest.raises(ZeroInverseError):
-            FieldElement(0, mod73).inv()
 
     def test_every_nonzero_element_small_fields(self):
         for p in (2, 3, 5, 7, 11, 13, 73):
@@ -178,42 +131,22 @@ class TestInverse:
         assert a * inv_mod(a, p) % p == 1
 
 
-_AXIOM_PRIMES = st.sampled_from([2, 3, 5, 7, 73, 101, 257, 7919, 2**31 - 1, 2**61 - 1])
-
-
-class TestFieldAxioms:
-    @given(p=_AXIOM_PRIMES, a=st.integers(0, 2**62), b=st.integers(0, 2**62),
-           c=st.integers(0, 2**62))
-    @settings(max_examples=200)
-    def test_ring_axioms(self, p, a, b, c):
-        m = PrimeModulus(p)
-        x, y, z = FieldElement(a, m), FieldElement(b, m), FieldElement(c, m)
-        assert x + y == y + x
-        assert x * y == y * x
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        zero, one = FieldElement(0, m), FieldElement(1, m)
-        assert x + zero == x
-        assert x * one == x
-        assert x + (-x) == zero
-
-    @given(p=_AXIOM_PRIMES, a=st.integers(1, 2**62))
-    @settings(max_examples=200)
-    def test_multiplicative_inverse(self, p, a):
-        m = PrimeModulus(p)
-        x = FieldElement(a, m)
-        if x.value == 0:
-            return
-        assert x * x.inv() == FieldElement(1, m)
-
-
 class TestSampling:
+    def test_plain_int_from_the_rejection_stream(self, mod73):
+        # the first 7-bit draws of the seed below 73, in order
+        rng = random.Random(99)
+        draws = (rng.getrandbits(7) for _ in range(1000))
+        expected = [v for v in draws if v < 73][:20]
+        r = RandomSource.seeded(99)
+        got = [sample_uniform(r, mod73) for _ in range(20)]
+        assert got == expected
+        assert all(type(v) is int for v in got)
+
     def test_deterministic_under_seed(self, mod73):
         a = RandomSource.seeded(99)
         b = RandomSource.seeded(99)
-        seq_a = [sample_uniform(a, mod73).value for _ in range(50)]
-        seq_b = [sample_uniform(b, mod73).value for _ in range(50)]
+        seq_a = [sample_uniform(a, mod73) for _ in range(50)]
+        seq_b = [sample_uniform(b, mod73) for _ in range(50)]
         assert seq_a == seq_b
 
     def test_in_range(self):
@@ -221,12 +154,12 @@ class TestSampling:
             m = PrimeModulus(p)
             r = RandomSource.seeded(p)
             for _ in range(200):
-                assert 0 <= sample_uniform(r, m).value < p
+                assert 0 <= sample_uniform(r, m) < p
 
     def test_system_source(self):
         m = PrimeModulus(73)
         r = RandomSource.system()
-        assert 0 <= sample_uniform(r, m).value < 73
+        assert 0 <= sample_uniform(r, m) < 73
 
     def test_uniform_within_5_sigma(self):
         # 1e5 draws from GF(7); a modulo-biased sampler would sit far
@@ -236,7 +169,7 @@ class TestSampling:
         r = RandomSource.seeded(2024)
         counts = [0] * 7
         for _ in range(n):
-            counts[sample_uniform(r, m).value] += 1
+            counts[sample_uniform(r, m)] += 1
         q = 1 / 7
         sigma = math.sqrt(n * q * (1 - q))
         for c in counts:

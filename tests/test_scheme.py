@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from blakley import (
     admissible,
     candidate_secrets,
     determinant,
+    encode_share,
     in_rowspace,
     reconstruct,
     reconstruct_point,
@@ -28,6 +30,21 @@ from blakley import (
 )
 
 from conftest import REFERENCE_POINT, REFERENCE_SECRET
+
+
+# Seeded reference splits (p, t, n, secret, seed) and the sha256 of their
+# records, the same cells and digest as the benchmark's byte-identity gate.
+GOLDEN_SPLITS = (
+    (2**61 - 1, 3, 5, 123456789, 1),
+    (2**61 - 1, 4, 8, 987654321, 2),
+    (2**31 - 1, 5, 5, 31337, 3),
+    (101, 8, 8, 100, 4),
+    (31, 3, 5, 17, 5),
+    (13, 3, 5, 4, 6),
+    (7, 3, 5, 6, 7),
+    (7, 3, 8, 1, 8),
+)
+GOLDEN_DIGEST = "69d92fd24680a6cba531a43b9ae9485b0248d143ecc2468b1619ea5ac20998fb"
 
 
 def make_share(index, coeffs, constant, params):
@@ -213,6 +230,21 @@ class TestSplit:
         degenerate = SchemeParams(modulus=mod73, threshold=1, total=1)
         with pytest.raises(InvalidParamsError):
             split(5, degenerate, RandomSource.seeded(4))
+
+    def test_seeded_output_is_byte_identical(self):
+        # sha256 over the BLK1 records of these seeded splits, an exhausted
+        # split hashing as b"EXHAUSTED\n". Any change to how split draws or
+        # builds shares changes the digest.
+        h = hashlib.sha256()
+        for p, t, n, secret, seed in GOLDEN_SPLITS:
+            params = SchemeParams(PrimeModulus(p), t, n)
+            try:
+                shares = split(secret, params, RandomSource.seeded(seed))
+            except AdmissibilityExhaustedError:
+                h.update(b"EXHAUSTED\n")
+            else:
+                h.update("".join(encode_share(s) for s in shares).encode())
+        assert h.hexdigest() == GOLDEN_DIGEST
 
 
 class TestReconstruct:
