@@ -90,10 +90,15 @@ def candidate_secrets(shares, *, modulus: PrimeModulus = None,
         raise SharesNotBelowThresholdError(
             f"{k} shares meet or exceed threshold {t}; nothing to enumerate"
         )
-    if p ** t > ENUMERATION_LIMIT:
-        raise EnumerationTooLargeError(
-            f"p**t = {p ** t} exceeds the {ENUMERATION_LIMIT} point scan bound"
-        )
+    # Multiply up to p**t only while it stays within the limit: p >= 2, so
+    # the product passes it within log2(ENUMERATION_LIMIT) steps, whatever t.
+    points = 1
+    for _ in range(t):
+        points *= p
+        if points > ENUMERATION_LIMIT:
+            raise EnumerationTooLargeError(
+                f"p**t points at p={p}, t={t} exceed the {ENUMERATION_LIMIT} point scan bound"
+            )
     planes = [(s.coeffs, s.constant) for s in shares]
     counts = dict.fromkeys(range(p), 0)
     for point in itertools.product(range(p), repeat=t):

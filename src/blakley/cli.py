@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands: split, combine, analyze, inspect, bench. Exit codes are
-stable: 0 success, 2 bad arguments or malformed input, 3 the rejection
-loop gave up, 4 the shares do not determine a unique point, 5 the
-leakage scan would be too large. Secrets are only ever written to
-stdout or share files, never to stderr.
+stable: 0 success; 3 the rejection loop gave up
+(AdmissibilityExhaustedError); 4 the shares do not determine a unique
+point (SingularSharesError); 5 the leakage scan would be too large
+(EnumerationTooLargeError); 2 bad arguments and any other BlakleyError,
+ValueError or OSError. Each code covers its error's subclasses too.
+Secrets are only ever written to stdout or share files, never to stderr.
 """
 
 import argparse
@@ -15,17 +17,11 @@ from pathlib import Path
 from .analysis import candidate_secrets
 from .errors import (
     AdmissibilityExhaustedError,
-    BadMagicError,
+    BlakleyError,
     EnumerationTooLargeError,
     InvalidParamsError,
     MalformedFieldError,
-    MixedParamsError,
-    ModulusTooWideError,
-    NonPrimeModulusError,
-    RangeViolationError,
-    SharesNotBelowThresholdError,
     SingularSharesError,
-    WrongShareCountError,
 )
 from .field import PrimeModulus, RandomSource, is_prime, sample_uniform
 from .scheme import SchemeParams, reconstruct, split
@@ -37,16 +33,12 @@ EXIT_EXHAUSTED = 3
 EXIT_SINGULAR = 4
 EXIT_TOO_LARGE = 5
 
-_USAGE_ERRORS = (
-    InvalidParamsError,
-    MixedParamsError,
-    WrongShareCountError,
-    NonPrimeModulusError,
-    ModulusTooWideError,
-    BadMagicError,
-    MalformedFieldError,
-    RangeViolationError,
-    SharesNotBelowThresholdError,
+# The first family an error belongs to picks its exit code; any other
+# error that main catches exits EXIT_USAGE.
+_EXIT_CODES = (
+    (AdmissibilityExhaustedError, EXIT_EXHAUSTED),
+    (SingularSharesError, EXIT_SINGULAR),
+    (EnumerationTooLargeError, EXIT_TOO_LARGE),
 )
 
 
@@ -55,10 +47,14 @@ def _rng(seed) -> RandomSource:
 
 
 def _read_share(path: str):
-    # Read one character past the longest valid record, so an endless or
-    # huge file costs bounded memory and still fails as too long.
-    with open(path) as fh:
-        record = fh.read(MAX_RECORD_LEN + 1)
+    # BLK1 is ASCII, so each character read is one byte. Read one past the
+    # longest valid record, so an endless or huge file costs bounded memory
+    # and still fails as too long.
+    try:
+        with open(path, encoding="ascii") as fh:
+            record = fh.read(MAX_RECORD_LEN + 1)
+    except UnicodeDecodeError:
+        raise MalformedFieldError("share file is not ASCII") from None
     if len(record) > MAX_RECORD_LEN:
         raise MalformedFieldError(f"share file is longer than {MAX_RECORD_LEN} characters")
     return decode_share(record)
@@ -83,9 +79,7 @@ def cmd_combine(args) -> int:
 def cmd_analyze(args) -> int:
     shares = [_read_share(f) for f in args.files]
     if not shares and (args.prime is None or args.threshold is None):
-        print("error: analyzing zero shares needs --prime and --threshold",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParamsError("analyzing zero shares needs --prime and --threshold")
     modulus = None if args.prime is None else PrimeModulus(args.prime)
     report = candidate_secrets(shares, modulus=modulus, threshold=args.threshold)
     p = len(report.candidate_counts)
@@ -138,13 +132,12 @@ def cmd_inspect(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.primes < 1:
-        print("error: --primes must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParamsError("--primes must be at least 1")
     if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParamsError("--trials must be at least 1")
     rng = _rng(args.seed)
     t, n = args.threshold, args.shares
+    SchemeParams(PrimeModulus(2), t, n)  # checks (t, n) before any prime search
     rows = []
     prime_index = 0
     candidate = 1
@@ -238,17 +231,11 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except AdmissibilityExhaustedError as e:
+    except (BlakleyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except SingularSharesError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except EnumerationTooLargeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (*_USAGE_ERRORS, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        for family, code in _EXIT_CODES:
+            if isinstance(e, family):
+                return code
         return EXIT_USAGE
 
 

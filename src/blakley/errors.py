@@ -1,7 +1,9 @@
 """Exception types raised across the package.
 
 Everything inherits from BlakleyError so callers can catch the whole
-family with one clause; the CLI maps subfamilies to exit codes.
+family with one clause. The CLI exits 3 for AdmissibilityExhaustedError,
+4 for SingularSharesError and 5 for EnumerationTooLargeError, subclasses
+included, and 2 for any other BlakleyError.
 """
 
 

@@ -115,6 +115,11 @@ class TestCandidateSecrets:
         with pytest.raises(EnumerationTooLargeError):
             candidate_secrets([], modulus=PrimeModulus(1009), threshold=3)
 
+    def test_scan_bound_does_not_build_p_to_the_t(self):
+        # 73**3000 has more than 4300 digits, more than str() will print
+        with pytest.raises(EnumerationTooLargeError, match="p=73, t=3000"):
+            candidate_secrets([], modulus=PrimeModulus(73), threshold=3000)
+
     def test_empty_needs_explicit_params(self):
         with pytest.raises(InvalidParamsError):
             candidate_secrets([])

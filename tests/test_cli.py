@@ -1,8 +1,22 @@
+import subprocess
+import sys
+
 import pytest
 
-from blakley import MalformedFieldError, PrimeModulus, SchemeParams, Share, encode_share
+from blakley import (
+    AdmissibilityExhaustedError,
+    BlakleyError,
+    EnumerationTooLargeError,
+    MalformedFieldError,
+    PrimeModulus,
+    SchemeParams,
+    Share,
+    SingularSharesError,
+    encode_share,
+)
 from blakley import cli
 from blakley.cli import main
+from blakley.scheme import MAX_SHARES
 from blakley.share_io import MAX_RECORD_LEN
 
 
@@ -157,6 +171,16 @@ class TestAnalyze:
         f = write_share(tmp_path, "big.blk", Share(1, (3, 4), 5, params))
         assert main(["analyze", f]) == 5
 
+    def test_huge_threshold_is_refused_at_once(self):
+        # p**t has about 6 * 10**9 bits here; the bound must not build it
+        proc = subprocess.run(
+            [sys.executable, "-m", "blakley", "analyze",
+             "--prime", str(2**61 - 1), "--threshold", str(10**8)],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr.startswith("error: ")
+
     def test_csv_output(self, tmp_path, share_files, capsys):
         csv = tmp_path / "tally.csv"
         rc = main(["analyze", share_files[0], "--csv", str(csv)])
@@ -245,7 +269,7 @@ class TestOversizedFile:
                 sizes.append(size)
                 return ("BLK1 " + "9" * size)[:size]
 
-        monkeypatch.setattr(cli, "open", lambda path: Endless(), raising=False)
+        monkeypatch.setattr(cli, "open", lambda path, **kwargs: Endless(), raising=False)
         with pytest.raises(MalformedFieldError):
             cli._read_share("endless.blk")
         assert sum(sizes) <= MAX_RECORD_LEN + 1
@@ -254,6 +278,23 @@ class TestOversizedFile:
     def test_exits_2(self, huge, command, capsys):
         assert main([command, huge]) == 2
         assert f"longer than {MAX_RECORD_LEN} characters" in capsys.readouterr().err
+
+
+class TestNonAsciiFile:
+    @pytest.fixture(params=[b"\xff", "\u00e9".encode()], ids=["latin-1", "utf-8"])
+    def non_ascii(self, request, tmp_path):
+        path = tmp_path / "accent.blk"
+        path.write_bytes(b"BLK1 p=73 t=3 n=5 i=1 a=4,19 c=68" + request.param + b"\n")
+        return str(path)
+
+    def test_raises_malformed_field_error(self, non_ascii):
+        with pytest.raises(MalformedFieldError, match="not ASCII"):
+            cli._read_share(non_ascii)
+
+    @pytest.mark.parametrize("command", ["inspect", "combine", "analyze"])
+    def test_exits_2(self, non_ascii, command, capsys):
+        assert main([command, non_ascii]) == 2
+        assert capsys.readouterr().err == "error: share file is not ASCII\n"
 
 
 class TestBench:
@@ -287,6 +328,43 @@ class TestBench:
                    "--threshold", "3", "--trials", "0",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("t, n", [(3, MAX_SHARES + 1), (3, 100), (6, 5), (0, 5)])
+    def test_bad_threshold_or_shares_fail_before_any_prime(self, tmp_path, capsys, t, n):
+        rc = main(["bench", "--primes", "1", "--shares", str(n),
+                   "--threshold", str(t), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "bench: skipping" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def _family(cls):
+    return [cls] + [d for sub in cls.__subclasses__() for d in _family(sub)]
+
+
+# Each family exits with its own code; every other BlakleyError exits 2.
+_FAMILY_CODES = {
+    AdmissibilityExhaustedError: 3,
+    SingularSharesError: 4,
+    EnumerationTooLargeError: 5,
+}
+
+
+class TestErrorFamilies:
+    @pytest.mark.parametrize("error", _family(BlakleyError), ids=lambda c: c.__name__)
+    def test_every_blakley_error_gets_its_exit_code(self, monkeypatch, capsys, error):
+        def failing(args):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "cmd_inspect", failing)
+        expected = next((code for family, code in _FAMILY_CODES.items()
+                         if issubclass(error, family)), 2)
+        assert main(["inspect", "any.blk"]) == expected
+        captured = capsys.readouterr()
+        assert captured.err == "error: refused\n"
+        assert captured.out == ""
 
 
 class TestTopLevel:
