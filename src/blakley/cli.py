@@ -24,7 +24,7 @@ from .errors import (
     SingularSharesError,
 )
 from .field import PrimeModulus, RandomSource, is_prime, sample_uniform
-from .scheme import SchemeParams, reconstruct, split
+from .scheme import SchemeParams, _require_splittable, reconstruct, split
 from .share_io import MAX_RECORD_LEN, decode_share, encode_share
 
 EXIT_OK = 0
@@ -47,12 +47,14 @@ def _rng(seed) -> RandomSource:
 
 
 def _read_share(path: str):
-    # BLK1 is ASCII, so each character read is one byte. Read one past the
-    # longest valid record, so an endless or huge file costs bounded memory
-    # and still fails as too long.
+    # Read bytes, not text: a record ending in \r\n or \r must fail the
+    # grammar, not be turned into \n. Read one byte past the longest
+    # valid record, so an endless or huge file costs bounded memory and
+    # still fails as too long.
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_RECORD_LEN + 1)
     try:
-        with open(path, encoding="ascii") as fh:
-            record = fh.read(MAX_RECORD_LEN + 1)
+        record = data.decode("ascii")
     except UnicodeDecodeError:
         raise MalformedFieldError("share file is not ASCII") from None
     if len(record) > MAX_RECORD_LEN:
@@ -137,7 +139,8 @@ def cmd_bench(args) -> int:
         raise InvalidParamsError("--trials must be at least 1")
     rng = _rng(args.seed)
     t, n = args.threshold, args.shares
-    SchemeParams(PrimeModulus(2), t, n)  # checks (t, n) before any prime search
+    # check (t, n) before any prime search
+    _require_splittable(SchemeParams(PrimeModulus(2), t, n))
     rows = []
     prime_index = 0
     candidate = 1

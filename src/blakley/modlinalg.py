@@ -1,10 +1,15 @@
 """Exact dense linear algebra over GF(p).
 
-Matrices are small (share systems are at most 64 x 64), so everything
-here rests on one kernel: forward elimination to row echelon form on
-lists of Python ints, with inverses from pow(x, -1, p). determinant,
-rank and in_rowspace read the pivots; solve back-substitutes. Entries
-are canonical residues in [0, p).
+Everything here rests on one kernel, _echelon: forward elimination to
+row echelon form with each row packed into one Python int, entry j in
+slot j of S = 2*bits(p) + bits(rows) bits. Eliminating a pivot from a
+row is then one big-int multiply-add in C, and S leaves room for every
+update without reducing, so no slot carries into the next (the bound is
+in _echelon's docstring). An n x n elimination costs about n^2/2
+multiply-adds, against about n^3/3 multiply-mods entry by entry.
+Inverses come from pow(x, -1, p). determinant, rank and in_rowspace
+read the pivots; solve back-substitutes. Entries are canonical residues
+in [0, p).
 """
 
 from .errors import DimensionMismatchError, ModulusMismatchError, NotSquareError, SingularMatrixError
@@ -33,7 +38,7 @@ class ModMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def to_rows(self) -> list:
-        """Fresh mutable row lists, safe to eliminate in place."""
+        """Fresh mutable row lists."""
         return [list(self.row(i)) for i in range(self.rows)]
 
     def append_row(self, values) -> "ModMatrix":
@@ -78,43 +83,92 @@ class ModVector:
         return f"ModVector{self.entries} mod {self.modulus.p}"
 
 
-def _echelon(rows: list, p: int, ncols: int) -> tuple:
-    """Forward-eliminate rows in place to row echelon form mod p.
+def _pack(values, s: int) -> int:
+    """values[j] in slot j, s bits wide (the lowest slot holds values[0])."""
+    acc = 0
+    for v in reversed(values):
+        acc = (acc << s) | v
+    return acc
 
-    Only the first ncols columns may hold a pivot, so the right-hand side
-    of an augmented system can never act as one. Returns (rank, det): the
-    first rank rows are then the pivot rows, with the entries right of
-    each pivot divided by it, and det is the product of the pivots with
-    the sign of the row swaps, the determinant when a square input has
-    full rank. Only the columns right of a pivot are updated in the rows
-    below it, about n^3/3 multiply-mods for n x n, so the entries of those
-    rows in pivot columns are stale and must not be read.
+
+def _echelon(rows, p: int, ncols: int) -> tuple:
+    """Forward-eliminate rows to row echelon form mod p.
+
+    rows is a sequence of equal-length sequences of canonical residues;
+    it is not modified. Only the first ncols columns may hold a pivot, so
+    the right-hand side of an augmented system can never act as one.
+    Returns (tails, det). tails[k] holds the k-th pivot row's entries
+    right of its pivot column, divided by the pivot, so the rank is
+    len(tails). det is the product of the pivots with the sign of the row
+    swaps, the determinant when a square input has full rank.
+
+    Layout: row i is one int with entry j in slot j, bits [j*S, (j+1)*S),
+    where S = 2*bits(p) + bits(len(rows)). Eliminating a pivot from a row
+    whose pivot-column slot reads f is one big-int multiply-add in C,
+    row += (p - f) * pivot, where pivot packs the pivot's tail in the
+    same slots. Only two things reduce mod p: the one slot read per row
+    and column that chooses the pivot and gives f, and each pivot row,
+    once, when its tail is unpacked and divided by the pivot.
+
+    No carry: a slot starts below p, and an update adds (p - f) * w
+    <= (p-1)^2 to it, so after k updates it is below (k+1) * p^2. A row
+    gets at most len(rows) - 1 updates before it is a pivot or the
+    kernel ends, so every slot stays below len(rows) * p^2 < 2^S. The
+    pivot-column slot and those left of it are not updated and never
+    read again.
+
+    Cost for n x n: about n^2/2 multiply-adds on ints of n slots, against
+    about n^3/3 Python-level multiply-mods entry by entry, plus O(n^2)
+    word-sized operations to pack, read and unpack.
     """
-    nrows = len(rows)
+    nrows, width = len(rows), len(rows[0])
+    s = 2 * p.bit_length() + nrows.bit_length()
+    mask = (1 << s) - 1
+    packed = [_pack(r, s) for r in rows]
+    tails = []
     det = 1
-    rk = 0
     for c in range(ncols):
-        if rk == nrows:
-            break
-        piv = rk
-        while piv < nrows and not rows[piv][c]:
-            piv += 1
-        if piv == nrows:
+        rk = len(tails)
+        shift = c * s
+        for piv in range(rk, nrows):
+            f = ((packed[piv] >> shift) & mask) % p
+            if f:
+                break
+        else:
             continue
         if piv != rk:
-            rows[rk], rows[piv] = rows[piv], rows[rk]
+            packed[rk], packed[piv] = packed[piv], packed[rk]
             det = -det
-        pivval = rows[rk][c]
-        det = det * pivval % p
-        inv = pow(pivval, -1, p)
-        tail = [v * inv % p for v in rows[rk][c + 1:]]
-        rows[rk][c + 1:] = tail
-        for r in rows[rk + 1:]:
-            f = r[c]
-            if f:
-                r[c + 1:] = [(v - f * w) % p for v, w in zip(r[c + 1:], tail)]
-        rk += 1
-    return rk, det
+        det = det * f % p
+        inv = pow(f, -1, p)
+        r = packed[rk] >> shift
+        tail = []
+        for _ in range(c + 1, width):
+            r >>= s
+            tail.append((r & mask) * inv % p)
+        tails.append(tail)
+        if rk + 1 == nrows:
+            break
+        pivot = _pack(tail, s) << (shift + s)
+        for i in range(rk + 1, nrows):
+            g = ((packed[i] >> shift) & mask) % p
+            if g:
+                packed[i] += (p - g) * pivot
+    return tails, det
+
+
+def _solve(rows, p: int, n: int):
+    """The x with A x = b mod p, for the n rows of [A | b], as a list of
+    residues; None when A is singular."""
+    tails, _ = _echelon(rows, p, n)
+    if len(tails) < n:
+        return None
+    # Full rank puts pivot i in column i, so tail i covers columns i+1..n.
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        tail = tails[i]
+        x[i] = (tail[-1] - sum(u * v for u, v in zip(tail, x[i + 1:]))) % p
+    return x
 
 
 def _common_modulus(a, b) -> PrimeModulus:
@@ -131,12 +185,12 @@ def determinant(m: ModMatrix) -> int:
     """
     if m.rows != m.cols:
         raise NotSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    rk, det = _echelon(m.to_rows(), m.modulus.p, m.cols)
-    return det if rk == m.rows else 0
+    tails, det = _echelon(m.to_rows(), m.modulus.p, m.cols)
+    return det if len(tails) == m.rows else 0
 
 
 def rank(m: ModMatrix) -> int:
-    return _echelon(m.to_rows(), m.modulus.p, m.cols)[0]
+    return len(_echelon(m.to_rows(), m.modulus.p, m.cols)[0])
 
 
 def solve(a: ModMatrix, b: ModVector) -> ModVector:
@@ -151,17 +205,10 @@ def solve(a: ModMatrix, b: ModVector) -> ModVector:
         raise DimensionMismatchError(f"coefficient matrix is {a.rows}x{a.cols}, not square")
     if len(b) != a.rows:
         raise DimensionMismatchError(f"b has length {len(b)}, expected {a.rows}")
-    n, p = a.rows, modulus.p
-    rows = a.to_rows()
-    for r, bv in zip(rows, b.entries):
-        r.append(bv)
-    if _echelon(rows, p, n)[0] < n:
+    rows = [r + [bv] for r, bv in zip(a.to_rows(), b.entries)]
+    x = _solve(rows, modulus.p, a.rows)
+    if x is None:
         raise SingularMatrixError("matrix is singular mod p")
-    # Full rank puts pivot i in column i, with row i right of it divided by it.
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        r = rows[i]
-        x[i] = (r[n] - sum(u * v for u, v in zip(r[i + 1:n], x[i + 1:]))) % p
     return ModVector(x, modulus)
 
 

@@ -15,12 +15,11 @@ from .errors import (
     AdmissibilityExhaustedError,
     InvalidParamsError,
     MixedParamsError,
-    SingularMatrixError,
     SingularSharesError,
     WrongShareCountError,
 )
 from .field import PrimeModulus, RandomSource, sample_uniform
-from .modlinalg import ModMatrix, ModVector, in_rowspace, solve
+from .modlinalg import ModMatrix, ModVector, _solve, in_rowspace
 
 # admissible() walks all C(n + 1, t) t-subsets of the n rows plus e_1, at
 # O(t) each, so n is capped. The cap still admits cells out of reach:
@@ -176,6 +175,11 @@ def admissible(shares) -> bool:
     return _independent([e1] + rows, t, modulus.p)
 
 
+def _require_splittable(params: SchemeParams):
+    if params.threshold < 2:
+        raise InvalidParamsError("splitting needs threshold >= 2")
+
+
 def split(secret: int, params: SchemeParams, rng: RandomSource,
           max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> list:
     """Split a secret into n hyperplane shares.
@@ -197,8 +201,7 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
             anything is drawn, n > max(p, t), where no admissible set
             exists at all.
     """
-    if params.threshold < 2:
-        raise InvalidParamsError("splitting needs threshold >= 2")
+    _require_splittable(params)
     modulus = params.modulus
     p = modulus.p
     if not 0 <= secret < p:
@@ -251,17 +254,14 @@ def reconstruct_point(shares) -> SecretPoint:
             f"need exactly {params.threshold} shares, got {len(shares)}"
         )
     _require_distinct_indices(shares)
-    modulus = params.modulus
-    p = modulus.p
-    a = ModMatrix(_normal_rows(shares, p), modulus)
-    b = ModVector([-s.constant for s in shares], modulus)
-    try:
-        x = solve(a, b)
-    except SingularMatrixError as e:
+    p = params.modulus.p
+    rows = [r + [-s.constant % p] for r, s in zip(_normal_rows(shares, p), shares)]
+    x = _solve(rows, p, params.threshold)
+    if x is None:
         raise SingularSharesError(
             "shares are inconsistent or not admissible (singular system)"
-        ) from e
-    return SecretPoint(x.entries, params)
+        )
+    return SecretPoint(x, params)
 
 
 def reconstruct(shares) -> int:

@@ -267,9 +267,9 @@ class TestOversizedFile:
             def read(self, size=-1):
                 assert size is not None and size >= 0, "unbounded read"
                 sizes.append(size)
-                return ("BLK1 " + "9" * size)[:size]
+                return (b"BLK1 " + b"9" * size)[:size]
 
-        monkeypatch.setattr(cli, "open", lambda path, **kwargs: Endless(), raising=False)
+        monkeypatch.setattr(cli, "open", lambda path, *args, **kwargs: Endless(), raising=False)
         with pytest.raises(MalformedFieldError):
             cli._read_share("endless.blk")
         assert sum(sizes) <= MAX_RECORD_LEN + 1
@@ -295,6 +295,27 @@ class TestNonAsciiFile:
     def test_exits_2(self, non_ascii, command, capsys):
         assert main([command, non_ascii]) == 2
         assert capsys.readouterr().err == "error: share file is not ASCII\n"
+
+
+class TestCarriageReturn:
+    # BLK1 ends in a single linefeed; a reader must not turn \r\n or \r
+    # into one
+    @pytest.fixture(params=[b"\r\n", b"\r", b"\n\r"], ids=["crlf", "cr", "lfcr"])
+    def cr_file(self, request, tmp_path):
+        path = tmp_path / "cr.blk"
+        path.write_bytes(b"BLK1 p=73 t=3 n=5 i=1 a=4,19 c=68" + request.param)
+        return str(path)
+
+    def test_raises_malformed_field_error(self, cr_file):
+        with pytest.raises(MalformedFieldError, match="BLK1 grammar"):
+            cli._read_share(cr_file)
+
+    @pytest.mark.parametrize("command", ["inspect", "combine", "analyze"])
+    def test_exits_2(self, cr_file, command, capsys):
+        assert main([command, cr_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: record does not match the BLK1 grammar\n"
+        assert captured.out == ""
 
 
 class TestBench:
@@ -337,6 +358,13 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "bench: skipping" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_threshold_one_fails_before_any_prime(self, tmp_path, capsys):
+        rc = main(["bench", "--primes", "1", "--shares", "5",
+                   "--threshold", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: splitting needs threshold >= 2\n"
         assert not (tmp_path / "x.csv").exists()
 
 

@@ -288,3 +288,114 @@ def test_rank_and_rowspace_property(shape, in_span, data):
     a = ModMatrix(rows, m)
     assert p ** rank(a) == len(spanned)
     assert in_rowspace(ModVector(v, m), a) == (tuple(v) in spanned)
+
+
+# The packed kernel at the edge of its slot width, against elimination one
+# entry at a time. A slot is 2*bits(p) + bits(rows) bits wide, and a row
+# updated k times holds slots below (k+1) * p^2, so the tightest cases are
+# many rows, a large p, and every update as large as it can be.
+M61 = 2**61 - 1
+
+
+def eliminate_plainly(rows, p):
+    """(rank, determinant) mod p by textbook elimination, entry by entry;
+    the determinant is 0 unless the matrix is square of full rank."""
+    rows = [[v % p for v in r] for r in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    rk, det = 0, 1
+    for c in range(ncols):
+        piv = next((i for i in range(rk, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rk:
+            rows[rk], rows[piv] = rows[piv], rows[rk]
+            det = -det
+        det = det * rows[rk][c] % p
+        inv = pow(rows[rk][c], -1, p)
+        for i in range(rk + 1, nrows):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk, (det if rk == nrows == ncols else 0)
+
+
+def max_growth(n, p):
+    """L U for L all ones on and below the diagonal and U with 1 on it
+    and p-1 above: eliminating it needs no swap, every multiplier is 1
+    and every pivot tail entry is p-1, so each update adds (p-1)^2 to
+    each live slot and row i takes i updates, the most the width allows."""
+    return [[(1 - j) % p if j <= i else -(i + 1) % p for j in range(n)] for i in range(n)]
+
+
+def check_against_oracle(rows, p, rnd):
+    m = PrimeModulus(p)
+    a = ModMatrix(rows, m)
+    rk, det = eliminate_plainly(rows, p)
+    assert rank(a) == rk
+    if a.rows == a.cols:
+        assert determinant(a) == det
+    ncols = len(rows[0])
+    lam = [rnd.randrange(p) for _ in rows]
+    inside = [sum(u * r[j] for u, r in zip(lam, rows)) % p for j in range(ncols)]
+    outside = [rnd.randrange(p) for _ in range(ncols)]
+    assert in_rowspace(ModVector(inside, m), a)
+    assert in_rowspace(ModVector(outside, m), a) == (eliminate_plainly(rows + [outside], p)[0] == rk)
+
+
+class TestPackedKernelBound:
+    @pytest.mark.parametrize("n", [2, 3, 31, 63, 64])
+    def test_maximal_growth(self, n):
+        # 63 rows leave the least headroom: 63 p^2 against 2^128 at 2^61-1
+        rows = max_growth(n, M61)
+        assert eliminate_plainly(rows, M61) == (n, 1)
+        check_against_oracle(rows, M61, random.Random(n))
+        check_against_oracle(rows[::-1], M61, random.Random(-n))
+
+    @pytest.mark.parametrize("p", [2, 3, 73, M61])
+    def test_all_entries_p_minus_one(self, p):
+        rnd = random.Random(p)
+        n = 20
+        # rank 1: one pivot, then every other row is cleared
+        check_against_oracle([[p - 1] * n for _ in range(n)], p, rnd)
+        # zero diagonal: column 0's first row reads 0, so the first pivot
+        # needs a swap
+        rows = [[0 if i == j else p - 1 for j in range(n)] for i in range(n)]
+        check_against_oracle(rows, p, rnd)
+        # zeros above the anti-diagonal: every pivot comes from the last
+        # candidate row, a swap at every column
+        rows = [[p - 1 if i + j >= n - 1 else 0 for j in range(n)] for i in range(n)]
+        assert rank(ModMatrix(rows, PrimeModulus(p))) == n
+        check_against_oracle(rows, p, rnd)
+
+    def test_tall_matrix(self):
+        # far more rows than MAX_SHARES, so the slot width grows with them
+        rnd = random.Random(200)
+        basis = [[rnd.randrange(M61) for _ in range(3)] for _ in range(2)]
+        rows = []
+        for _ in range(200):
+            u, v = rnd.randrange(M61), rnd.randrange(M61)
+            rows.append([(u * a + v * b) % M61 for a, b in zip(*basis)])
+        check_against_oracle(rows, M61, rnd)
+        assert rank(ModMatrix(rows, PrimeModulus(M61))) == 2
+        rows[137] = [rnd.randrange(M61) for _ in range(3)]
+        check_against_oracle(rows, M61, rnd)
+        full = [[M61 - 1] * 3 for _ in range(199)] + [[1, 2, 3]]
+        check_against_oracle(full, M61, rnd)
+
+    def test_70_by_70_at_p_2(self):
+        rnd = random.Random(70)
+        for _ in range(3):
+            rows = [[rnd.randrange(2) for _ in range(70)] for _ in range(70)]
+            check_against_oracle(rows, 2, rnd)
+        rows[69] = [a ^ b for a, b in zip(rows[3], rows[41])]
+        check_against_oracle(rows, 2, rnd)
+        assert determinant(ModMatrix(rows, PrimeModulus(2))) == 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_solve_at_t_64(self, seed):
+        rnd = random.Random(seed)
+        m = PrimeModulus(M61)
+        for rows in (random_rows(rnd, 64, M61), max_growth(64, M61)):
+            x = [rnd.randrange(M61) for _ in range(64)]
+            b = [v for (v,) in product(rows, [[v] for v in x], M61)]
+            assert solve(ModMatrix(rows, m), ModVector(b, m)).entries == tuple(x)

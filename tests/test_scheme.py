@@ -279,6 +279,45 @@ class TestReconstruct:
         with pytest.raises(SingularSharesError):
             reconstruct([a, b])
 
+    SINGULAR_MESSAGE = r"^shares are inconsistent or not admissible \(singular system\)$"
+
+    def test_singular_set_message(self, reference_params):
+        # the third plane is 2 * first - second, so it holds the line where
+        # those two meet: all three share a line, and no unique point
+        a = make_share(1, (4, 19), 68, reference_params)
+        b = make_share(2, (52, 27), 10, reference_params)
+        c = make_share(3, (2 * 4 - 52, 2 * 19 - 27), 2 * 68 - 10, reference_params)
+        with pytest.raises(SingularSharesError, match=self.SINGULAR_MESSAGE):
+            reconstruct_point([a, b, c])
+
+    def test_inconsistent_set_message(self, reference_shares, reference_params):
+        # share 1's plane moved off Q, parallel to itself: with a copy of
+        # the original under another index, the system has no solution
+        moved = make_share(4, (4, 19), 69, reference_params)
+        with pytest.raises(SingularSharesError, match=self.SINGULAR_MESSAGE):
+            reconstruct_point([reference_shares[0], reference_shares[1], moved])
+
+    @pytest.mark.parametrize("p", [101, 2**31 - 1, 2**61 - 1])
+    def test_secret_returned_at_every_threshold(self, p):
+        rnd = random.Random(p)
+        modulus = PrimeModulus(p)
+        for t in range(2, 33):
+            params = SchemeParams(modulus, t, t)
+            secret = rnd.randrange(p)
+            shares = split(secret, params, RandomSource.seeded(t))
+            rnd.shuffle(shares)
+            point = reconstruct_point(shares)
+            assert point.secret == reconstruct(shares) == secret
+            assert all(verify_share(s, point) for s in shares)
+
+    @pytest.mark.parametrize("t", [2, 3, 8, 32])
+    def test_exactly_t_shares(self, t):
+        params = SchemeParams(PrimeModulus(2**61 - 1), t, t + 1)
+        shares = split(7, params, RandomSource.seeded(t))
+        for k in (t - 1, t + 1):
+            with pytest.raises(WrongShareCountError, match=f"need exactly {t} shares, got {k}"):
+                reconstruct(shares[:k])
+
     def test_mixed_params(self, reference_shares):
         other = SchemeParams(modulus=PrimeModulus(73), threshold=3, total=6)
         alien = make_share(6, (4, 19), 68, other)
