@@ -1,17 +1,20 @@
 """What sub-threshold share subsets reveal, and how much corruption the
 scheme tolerates.
 
-candidate_secrets is a deliberately naive ground-truth oracle: it walks
-every point of GF(p)^t, keeps the ones lying on all given hyperplanes,
-and tallies them by first coordinate. No algebra, no shortcuts, which
-is exactly what makes it trustworthy as an oracle for the scheme's
-secrecy claims.
+candidate_secrets is a deliberately naive ground-truth oracle: it counts
+every point of GF(p)^t that lies on all given hyperplanes, and tallies
+them by first coordinate. It walks the p^(t-1) prefixes (x_1..x_t-1)
+rather than the p^t points one by one, because a hyperplane names
+exactly one x_t for each prefix: a prefix carries p points when no
+share is held, one when every share names the same x_t, and none
+otherwise. No algebra, no shortcuts, which is exactly what makes it
+trustworthy as an oracle for the scheme's secrecy claims.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._value import _Value, _set
 from .errors import (
     EnumerationTooLargeError,
     InvalidParamsError,
@@ -24,8 +27,7 @@ from .scheme import SchemeParams, _shared_params
 ENUMERATION_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class LeakageReport:
+class LeakageReport(_Value):
     """Posterior over the secret after seeing a sub-threshold share set.
 
     candidate_counts maps every value in [0, p) to the number of field
@@ -34,10 +36,14 @@ class LeakageReport:
     tally; max_bits = log2(p) is the entropy of total ignorance.
     """
 
-    candidate_counts: dict
-    entropy_bits: float
-    max_bits: float
-    pinned: bool
+    __slots__ = _fields = ("candidate_counts", "entropy_bits", "max_bits", "pinned")
+
+    def __init__(self, candidate_counts: dict, entropy_bits: float, max_bits: float,
+                 pinned: bool):
+        _set(self, "candidate_counts", candidate_counts)
+        _set(self, "entropy_bits", entropy_bits)
+        _set(self, "max_bits", max_bits)
+        _set(self, "pinned", pinned)
 
     def candidates(self) -> list:
         """Secret values still possible, ascending."""
@@ -50,12 +56,14 @@ class LeakageReport:
         return self.candidates()[0]
 
 
-@dataclass(frozen=True)
-class ThresholdSummary:
+class ThresholdSummary(_Value):
     """Corruption tolerances of a (t, n) configuration."""
 
-    secrecy: int
-    integrity: int
+    __slots__ = _fields = ("secrecy", "integrity")
+
+    def __init__(self, secrecy: int, integrity: int):
+        _set(self, "secrecy", secrecy)
+        _set(self, "integrity", integrity)
 
 
 def candidate_secrets(shares, *, modulus: PrimeModulus = None,
@@ -100,11 +108,17 @@ def candidate_secrets(shares, *, modulus: PrimeModulus = None,
                 f"p**t points at p={p}, t={t} exceed the {ENUMERATION_LIMIT} point scan bound"
             )
     planes = [(s.coeffs, s.constant) for s in shares]
-    counts = dict.fromkeys(range(p), 0)
-    for point in itertools.product(range(p), repeat=t):
-        if all(point[-1] == (sum(a * x for a, x in zip(coeffs, point)) + c) % p
-               for coeffs, c in planes):
-            counts[point[0]] += 1
+    if t == 1:
+        # x_1 is the only coordinate and no share is held (k < t): each
+        # value of the secret is one point.
+        counts = dict.fromkeys(range(p), 1)
+    else:
+        counts = dict.fromkeys(range(p), 0)
+        for prefix in itertools.product(range(p), repeat=t - 1):
+            named = {(sum(a * x for a, x in zip(coeffs, prefix)) + c) % p
+                     for coeffs, c in planes}
+            if len(named) <= 1:
+                counts[prefix[0]] += 1 if named else p
     total = sum(counts.values())
     if total:
         entropy = -sum((c / total) * math.log2(c / total)

@@ -5,10 +5,10 @@ capped at 62 bits so every intermediate product stays comfortably exact
 and the primality test below remains deterministic.
 """
 
-from dataclasses import dataclass
 import functools
 import random
 
+from ._value import _Value, _set
 from .errors import (
     ModulusTooWideError,
     NonPrimeModulusError,
@@ -68,19 +68,19 @@ is_prime.cache_info = _miller_rabin.cache_info
 is_prime.cache_clear = _miller_rabin.cache_clear
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
+class PrimeModulus(_Value):
     """A validated prime field modulus."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int):
-            raise NonPrimeModulusError(f"modulus must be an integer, got {type(self.p).__name__}")
-        if self.p.bit_length() > MAX_MODULUS_BITS:
+    def __init__(self, p: int):
+        if not isinstance(p, int):
+            raise NonPrimeModulusError(f"modulus must be an integer, got {type(p).__name__}")
+        if p.bit_length() > MAX_MODULUS_BITS:
             raise ModulusTooWideError(f"modulus must fit in {MAX_MODULUS_BITS} bits")
-        if self.p < 2 or not is_prime(self.p):
-            raise NonPrimeModulusError(f"{self.p} is not prime")
+        if p < 2 or not is_prime(p):
+            raise NonPrimeModulusError(f"{p} is not prime")
+        _set(self, "p", p)
 
 
 def inv_mod(a: int, p: int) -> int:

@@ -9,8 +9,7 @@ Any t admissible shares pin Q down as the unique solution of a linear
 system; fewer than t leave x_1 completely undetermined.
 """
 
-from dataclasses import dataclass
-
+from ._value import _Value, _set
 from .errors import (
     AdmissibilityExhaustedError,
     InvalidParamsError,
@@ -29,68 +28,68 @@ MAX_SHARES = 64
 DEFAULT_MAX_ATTEMPTS = 1024
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(_Value):
     """The (p, t, n) configuration shared by every share of one secret.
 
     threshold 1 is allowed only so degenerate configurations can be
     described for threshold accounting; split() itself needs t >= 2.
     """
 
-    modulus: PrimeModulus
-    threshold: int
-    total: int
+    __slots__ = _fields = ("modulus", "threshold", "total")
 
-    def __post_init__(self):
-        if not 1 <= self.threshold <= self.total <= MAX_SHARES:
+    def __init__(self, modulus: PrimeModulus, threshold: int, total: int):
+        if not 1 <= threshold <= total <= MAX_SHARES:
             raise InvalidParamsError(
-                f"need 1 <= t <= n <= {MAX_SHARES}, got t={self.threshold}, n={self.total}"
+                f"need 1 <= t <= n <= {MAX_SHARES}, got t={threshold}, n={total}"
             )
+        _set(self, "modulus", modulus)
+        _set(self, "threshold", threshold)
+        _set(self, "total", total)
 
 
-@dataclass(frozen=True)
-class SecretPoint:
+class SecretPoint(_Value):
     """The common intersection point Q; coords[0] is the secret."""
 
-    coords: tuple
-    params: SchemeParams
+    __slots__ = _fields = ("coords", "params")
 
-    def __post_init__(self):
-        p = self.params.modulus.p
-        object.__setattr__(self, "coords", tuple(v % p for v in self.coords))
-        if len(self.coords) != self.params.threshold:
+    def __init__(self, coords: tuple, params: SchemeParams):
+        p = params.modulus.p
+        coords = tuple(v % p for v in coords)
+        if len(coords) != params.threshold:
             raise InvalidParamsError(
-                f"point needs {self.params.threshold} coordinates, got {len(self.coords)}"
+                f"point needs {params.threshold} coordinates, got {len(coords)}"
             )
+        _set(self, "coords", coords)
+        _set(self, "params", params)
 
     @property
     def secret(self) -> int:
         return self.coords[0]
 
 
-@dataclass(frozen=True)
-class Share:
-    """One hyperplane: t-1 coefficients and a constant term."""
+class Share(_Value):
+    """One hyperplane: t-1 coefficients and a constant term, reduced mod p."""
 
-    index: int
-    coeffs: tuple
-    constant: int
-    params: SchemeParams
+    __slots__ = _fields = ("index", "coeffs", "constant", "params")
 
-    def __post_init__(self):
-        p = self.params.modulus.p
-        object.__setattr__(self, "coeffs", tuple(v % p for v in self.coeffs))
-        object.__setattr__(self, "constant", self.constant % p)
-        if self.params.threshold < 2:
+    def __init__(self, index: int, coeffs: tuple, constant: int, params: SchemeParams):
+        p = params.modulus.p
+        coeffs = tuple(v % p for v in coeffs)
+        constant %= p
+        if params.threshold < 2:
             raise InvalidParamsError("shares exist only for threshold >= 2")
-        if not 1 <= self.index <= self.params.total:
+        if not 1 <= index <= params.total:
             raise InvalidParamsError(
-                f"share index {self.index} outside 1..{self.params.total}"
+                f"share index {index} outside 1..{params.total}"
             )
-        if len(self.coeffs) != self.params.threshold - 1:
+        if len(coeffs) != params.threshold - 1:
             raise InvalidParamsError(
-                f"expected {self.params.threshold - 1} coefficients, got {len(self.coeffs)}"
+                f"expected {params.threshold - 1} coefficients, got {len(coeffs)}"
             )
+        _set(self, "index", index)
+        _set(self, "coeffs", coeffs)
+        _set(self, "constant", constant)
+        _set(self, "params", params)
 
 
 def _shared_params(shares) -> SchemeParams:

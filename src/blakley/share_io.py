@@ -6,7 +6,8 @@ followed by a single linefeed. Fields appear in exactly this order,
 separated by single spaces; the t-1 coefficients are comma-separated
 with no spaces; every number is unsigned decimal with no leading zeros.
 Decoding is strict enough that any accepted record re-encodes to the
-identical bytes.
+identical bytes, with one exception: a record without its final linefeed
+is accepted too, and re-encodes with the linefeed, one byte longer.
 """
 
 import re

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blakley import (
     EnumerationTooLargeError,
@@ -22,7 +23,9 @@ TOL = 1e-12
 
 
 def oracle_counts(planes, p, t):
-    """Same tally as candidate_secrets, written independently."""
+    """Same tally as candidate_secrets, written independently: the literal
+    walk over all p**t points, one plane test per point and plane, which
+    candidate_secrets ran before it walked p**(t-1) prefixes."""
     counts = {v: 0 for v in range(p)}
     for pt in itertools.product(range(p), repeat=t):
         ok = True
@@ -143,6 +146,59 @@ class TestCandidateSecrets:
     def test_entropy_never_negative_zero(self, reference_shares):
         report = candidate_secrets([reference_shares[0], reference_shares[4]])
         assert math.copysign(1.0, report.entropy_bits) == 1.0
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_threshold_one_counts_each_value_once(self, p):
+        report = candidate_secrets([], modulus=PrimeModulus(p), threshold=1)
+        assert report.candidate_counts == {v: 1 for v in range(p)}
+        assert abs(report.entropy_bits - math.log2(p)) < TOL
+        assert not report.pinned
+        assert report.candidates() == list(range(p))
+
+    @pytest.mark.parametrize("p,t", [(2, 3), (5, 3), (3, 4), (7, 4)])
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_repeated_row_matches_point_walk(self, p, t, shift):
+        # Two shares with one coefficient row: a shifted constant makes
+        # parallel planes with no common point; an equal one is the same
+        # plane twice, which constrains no more than once.
+        params = SchemeParams(modulus=PrimeModulus(p), threshold=t, total=t)
+        row = tuple(range(1, t))
+        pair = [Share(index=i + 1, coeffs=row, constant=i * shift, params=params)
+                for i in (0, 1)]
+        counts = candidate_secrets(pair).candidate_counts
+        assert counts == oracle_counts([(s.coeffs, s.constant) for s in pair], p, t)
+        if shift:
+            assert counts == dict.fromkeys(range(p), 0)
+        else:
+            assert counts == candidate_secrets(pair[:1]).candidate_counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), t=st.integers(1, 4), data=st.data())
+def test_prefix_scan_matches_point_walk(p, t, data):
+    """The prefix scan and the p**t walk give the same tally for any k < t
+    shares, including repeated rows with equal or different constants."""
+    k = data.draw(st.integers(0, t - 1), label="k")
+    residue = st.integers(0, p - 1)
+    shares = []
+    if k:
+        params = SchemeParams(modulus=PrimeModulus(p), threshold=t, total=t)
+        for i in range(1, k + 1):
+            how = data.draw(st.sampled_from(["fresh", "same row", "same plane"])
+                            if shares else st.just("fresh"))
+            if how == "fresh":
+                coeffs = tuple(data.draw(residue) for _ in range(t - 1))
+                constant = data.draw(residue)
+            else:
+                earlier = data.draw(st.sampled_from(shares))
+                coeffs = earlier.coeffs
+                constant = earlier.constant
+                if how == "same row":
+                    constant = (constant + data.draw(st.integers(1, p - 1))) % p
+            shares.append(Share(index=i, coeffs=coeffs, constant=constant, params=params))
+    report = candidate_secrets(shares, modulus=PrimeModulus(p), threshold=t)
+    planes = [(s.coeffs, s.constant) for s in shares]
+    assert report.candidate_counts == oracle_counts(planes, p, t)
 
 
 class TestCorruptionThresholds:

@@ -163,6 +163,18 @@ class TestAnalyze:
         assert "p=5 t=2 shares=0" in out
         assert "candidates: 5 of 5" in out
 
+    def test_threshold_one(self, capsys):
+        rc = main(["analyze", "--prime", "5", "--threshold", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "p=5 t=1 shares=0\n"
+            "candidates: 5 of 5\n"
+            "entropy: 2.321928094887 bits (max 2.321928094887)\n"
+            "pinned: no\n"
+            "value count\n"
+            + "".join(f"    {v}     1\n" for v in range(5))
+        )
+
     def test_at_threshold_rejected(self, share_files, capsys):
         assert main(["analyze"] + share_files[:3]) == 2
 
@@ -411,3 +423,14 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "split" in proc.stdout and "bench" in proc.stdout
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # dataclasses, with the inspect it imports, added about 10 ms to
+        # every process's start-up. Only what blakley itself loads counts,
+        # not what the interpreter had loaded before it.
+        code = ("import sys; before = set(sys.modules); import blakley.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

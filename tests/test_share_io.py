@@ -45,6 +45,11 @@ class TestDecodeRoundTrip:
         record = encode_share(reference_shares[2])
         assert encode_share(decode_share(record)) == record
 
+    def test_missing_linefeed_is_restored(self, reference_shares):
+        # the one accepted record that does not re-encode to its own bytes
+        record = encode_share(reference_shares[3])
+        assert encode_share(decode_share(record.rstrip("\n"))) == record
+
 
 class TestDecodeErrors:
     @pytest.mark.parametrize("record", [
