@@ -1,5 +1,5 @@
-"""The immutable value object that the package's parameter, share and
-report classes build on.
+"""The immutable value object that the package's parameter, share,
+report, matrix and vector classes build on.
 
 A subclass names its attributes once, as ``__slots__ = _fields = (...)``,
 and sets them in its own ``__init__`` through ``_set``. Equality, hashing,

@@ -84,7 +84,8 @@ class PrimeModulus(_Value):
 
 
 def inv_mod(a: int, p: int) -> int:
-    """Inverse of a modulo the prime p, by the extended Euclidean algorithm.
+    """Inverse of a modulo the prime p, from pow(a, -1, p) as in the
+    elimination kernel.
 
     Raises:
         ZeroInverseError: if a is congruent to 0.
@@ -92,14 +93,7 @@ def inv_mod(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise ZeroInverseError("0 has no multiplicative inverse")
-    old_r, r = a, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    # gcd is 1 because p is prime and a is a nonzero residue
-    return old_s % p
+    return pow(a, -1, p)
 
 
 class RandomSource:

@@ -7,77 +7,62 @@ row is then one big-int multiply-add in C, and S leaves room for every
 update without reducing, so no slot carries into the next (the bound is
 in _echelon's docstring). An n x n elimination costs about n^2/2
 multiply-adds, against about n^3/3 multiply-mods entry by entry.
-Inverses come from pow(x, -1, p). determinant, rank and in_rowspace
-read the pivots; solve back-substitutes. Entries are canonical residues
-in [0, p).
+Inverses come from pow(x, -1, p). Each question is one kernel run on
+plain int rows: determinant and rank read the pivots, solve
+back-substitutes, and in_rowspace eliminates the transposed system.
+ModMatrix keeps its entries as row tuples and ModVector as one tuple,
+canonical residues in [0, p); both are immutable _Value objects, so the
+kernel takes their entries as they are.
 """
 
+from ._value import _Value, _set
 from .errors import DimensionMismatchError, ModulusMismatchError, NotSquareError, SingularMatrixError
 from .field import PrimeModulus
 
 
-class ModMatrix:
-    """A row-major matrix of canonical residues mod a shared prime."""
+class ModMatrix(_Value):
+    """A matrix of canonical residues mod a shared prime, as row tuples."""
 
-    __slots__ = ("entries", "rows", "cols", "modulus")
+    __slots__ = _fields = ("entries", "modulus")
 
     def __init__(self, rows, modulus: PrimeModulus):
-        data = [list(r) for r in rows]
+        data = [tuple(r) for r in rows]
         if not data or not data[0]:
             raise DimensionMismatchError("matrix needs at least one row and one column")
-        cols = len(data[0])
-        if any(len(r) != cols for r in data):
+        if any(len(r) != len(data[0]) for r in data):
             raise DimensionMismatchError("ragged rows")
         p = modulus.p
-        self.entries = tuple(v % p for r in data for v in r)
-        self.rows = len(data)
-        self.cols = cols
-        self.modulus = modulus
+        _set(self, "entries", tuple(tuple(v % p for v in r) for r in data))
+        _set(self, "modulus", modulus)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list:
-        """Fresh mutable row lists."""
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def append_row(self, values) -> "ModMatrix":
-        return ModMatrix(self.to_rows() + [list(values)], self.modulus)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ModMatrix):
-            return (self.entries, self.rows, self.cols, self.modulus) == (
-                other.entries, other.rows, other.cols, other.modulus)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.rows, self.cols, self.modulus))
+        return self.entries[i]
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
+        body = "; ".join(" ".join(map(str, r)) for r in self.entries)
         return f"ModMatrix[{body}] mod {self.modulus.p}"
 
 
-class ModVector:
+class ModVector(_Value):
     """A vector of canonical residues mod a shared prime."""
 
-    __slots__ = ("entries", "modulus")
+    __slots__ = _fields = ("entries", "modulus")
 
     def __init__(self, values, modulus: PrimeModulus):
         p = modulus.p
-        self.entries = tuple(v % p for v in values)
-        self.modulus = modulus
+        _set(self, "entries", tuple(v % p for v in values))
+        _set(self, "modulus", modulus)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ModVector):
-            return self.entries == other.entries and self.modulus == other.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.modulus))
 
     def __repr__(self) -> str:
         return f"ModVector{self.entries} mod {self.modulus.p}"
@@ -171,6 +156,18 @@ def _solve(rows, p: int, n: int):
     return x
 
 
+def _in_rowspace(v, rows, p: int) -> bool:
+    """Whether v is a linear combination of rows mod p.
+
+    One elimination of the augmented system rows^T y = v, whose
+    right-hand-side column may hold a pivot. The system is consistent,
+    so v is in the row space, iff none does. A pivot there is the only
+    one with an empty tail.
+    """
+    tails, _ = _echelon([col + (x,) for col, x in zip(zip(*rows), v)], p, len(rows) + 1)
+    return not tails or len(tails[-1]) > 0
+
+
 def _common_modulus(a, b) -> PrimeModulus:
     if a.modulus != b.modulus:
         raise ModulusMismatchError(f"mixed moduli {a.modulus.p} and {b.modulus.p}")
@@ -185,12 +182,12 @@ def determinant(m: ModMatrix) -> int:
     """
     if m.rows != m.cols:
         raise NotSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    tails, det = _echelon(m.to_rows(), m.modulus.p, m.cols)
+    tails, det = _echelon(m.entries, m.modulus.p, m.cols)
     return det if len(tails) == m.rows else 0
 
 
 def rank(m: ModMatrix) -> int:
-    return len(_echelon(m.to_rows(), m.modulus.p, m.cols)[0])
+    return len(_echelon(m.entries, m.modulus.p, m.cols)[0])
 
 
 def solve(a: ModMatrix, b: ModVector) -> ModVector:
@@ -205,7 +202,7 @@ def solve(a: ModMatrix, b: ModVector) -> ModVector:
         raise DimensionMismatchError(f"coefficient matrix is {a.rows}x{a.cols}, not square")
     if len(b) != a.rows:
         raise DimensionMismatchError(f"b has length {len(b)}, expected {a.rows}")
-    rows = [r + [bv] for r, bv in zip(a.to_rows(), b.entries)]
+    rows = [r + (bv,) for r, bv in zip(a.entries, b.entries)]
     x = _solve(rows, modulus.p, a.rows)
     if x is None:
         raise SingularMatrixError("matrix is singular mod p")
@@ -217,4 +214,4 @@ def in_rowspace(v: ModVector, m: ModMatrix) -> bool:
     _common_modulus(v, m)
     if len(v) != m.cols:
         raise DimensionMismatchError(f"vector length {len(v)} vs {m.cols} columns")
-    return rank(m) == rank(m.append_row(v.entries))
+    return _in_rowspace(v.entries, m.entries, m.modulus.p)

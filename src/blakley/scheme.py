@@ -18,7 +18,7 @@ from .errors import (
     WrongShareCountError,
 )
 from .field import PrimeModulus, RandomSource, sample_uniform
-from .modlinalg import ModMatrix, ModVector, _solve, in_rowspace
+from .modlinalg import _in_rowspace, _solve
 
 # admissible() walks all C(n + 1, t) t-subsets of the n rows plus e_1, at
 # O(t) each, so n is capped. The cap still admits cells out of reach:
@@ -165,13 +165,12 @@ def admissible(shares) -> bool:
     """
     params = _shared_params(shares)
     _require_distinct_indices(shares)
-    modulus = params.modulus
-    t = params.threshold
-    rows = _normal_rows(shares, modulus.p)
+    p, t = params.modulus.p, params.threshold
+    rows = _normal_rows(shares, p)
     e1 = [1] + [0] * (t - 1)
     if len(rows) < t:
-        return not in_rowspace(ModVector(e1, modulus), ModMatrix(rows, modulus))
-    return _independent([e1] + rows, t, modulus.p)
+        return not _in_rowspace(e1, rows, p)
+    return _independent([e1] + rows, t, p)
 
 
 def _require_splittable(params: SchemeParams):
@@ -197,8 +196,8 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
         InvalidParamsError: secret out of range or threshold < 2.
         AdmissibilityExhaustedError: cap reached, meaning p is too small
             for this (t, n) to pass the subset checks by chance; or, before
-            anything is drawn, n > max(p, t), where no admissible set
-            exists at all.
+            anything is drawn, n > max(p, t) or p = 2 with t odd, where no
+            admissible set exists at all.
     """
     _require_splittable(params)
     modulus = params.modulus
@@ -211,10 +210,15 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
     # The rows plus e_1 are n + 1 vectors in GF(p)^t of which every t are
     # a basis. That needs n <= p when t <= p (Ball's proof of the MDS
     # conjecture for prime fields, JEMS 2012) and n <= t when t > p.
-    if n > max(p, t):
+    # At p = 2 an odd t exceeds p, so n = t, and the t + 1 vectors satisfy
+    # one relation whose coefficients are all nonzero, so all 1. The last
+    # coordinate is 0 for e_1 and 1 for each row, so t must be even.
+    if n > max(p, t) or (p == 2 and t % 2):
+        why = (f"n may be at most max(p, t) = {max(p, t)}" if n > max(p, t)
+               else "t must be even when p = 2")
         raise AdmissibilityExhaustedError(
-            f"no admissible share set exists for p={p}, t={t}, n={n} (n may be"
-            f" at most max(p, t) = {max(p, t)}), so no number of attempts can find one"
+            f"no admissible share set exists for p={p}, t={t}, n={n} ({why}),"
+            " so no number of attempts can find one"
         )
     for _ in range(max_attempts):
         coords = [secret] + [sample_uniform(rng, modulus) for _ in range(t - 1)]

@@ -1,6 +1,15 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from blakley import PrimeModulus, RandomSource, SchemeParams, Share
+
+# pyproject.toml puts src/ on this process's path; child processes
+# (python -m blakley) get it too, so a bare `pytest` tests the checkout.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [d for d in os.environ.get("PYTHONPATH", "").split(os.pathsep) if d])
 
 # Known-good (73, 3, 5) share set used across the suite: five planes
 # z = a x + b y + c through the point (42, 29, 57). Pair {1, 5} has
@@ -15,6 +24,31 @@ REFERENCE_PLANES = [
 ]
 REFERENCE_SECRET = 42
 REFERENCE_POINT = (42, 29, 57)
+
+
+# The independent oracle for the elimination kernel: the tests of
+# modlinalg check the kernel against it, and the tests of scheme decide
+# admissibility with it instead of the kernel that admissible() runs.
+def eliminate_plainly(rows, p):
+    """(rank, determinant) mod p by textbook elimination, entry by entry;
+    the determinant is 0 unless the matrix is square of full rank."""
+    rows = [[v % p for v in r] for r in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    rk, det = 0, 1
+    for c in range(ncols):
+        piv = next((i for i in range(rk, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rk:
+            rows[rk], rows[piv] = rows[piv], rows[rk]
+            det = -det
+        det = det * rows[rk][c] % p
+        inv = pow(rows[rk][c], -1, p)
+        for i in range(rk + 1, nrows):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk, (det if rk == nrows == ncols else 0)
 
 
 @pytest.fixture

@@ -18,6 +18,8 @@ from blakley import (
     solve,
 )
 
+from conftest import eliminate_plainly
+
 # Normal-form system of the reference share set, subset {1, 2, 3}.
 REFERENCE_ROWS = [[4, 19, -1], [52, 27, -1], [36, 65, -1]]
 REFERENCE_RHS = [-68, -10, -18]
@@ -173,7 +175,7 @@ class TestRank:
         for _ in range(50):
             base = ModMatrix(random_rows(rnd, 3, 7), m)
             extra = [rnd.randrange(7) for _ in range(3)]
-            grown = base.append_row(extra)
+            grown = ModMatrix(base.entries + (tuple(extra),), m)
             assert rank(base) <= rank(grown) <= rank(base) + 1
 
 
@@ -215,6 +217,14 @@ class TestModMatrix:
             ModMatrix([[1, 2], [3]], mod73)
         with pytest.raises(DimensionMismatchError):
             ModMatrix([], mod73)
+
+    def test_entries_are_reduced_row_tuples(self, mod73):
+        m = ModMatrix([[1, -1, 75], [0, 73, 2]], mod73)
+        assert m.entries == ((1, 72, 2), (0, 0, 2))
+        assert (m.rows, m.cols) == (2, 3)
+        assert m.row(1) == (0, 0, 2)
+        assert repr(m) == "ModMatrix[1 72 2; 0 0 2] mod 73"
+        assert repr(ModVector([-1, 5], mod73)) == "ModVector(72, 5) mod 73"
 
 
 
@@ -295,28 +305,6 @@ def test_rank_and_rowspace_property(shape, in_span, data):
 # updated k times holds slots below (k+1) * p^2, so the tightest cases are
 # many rows, a large p, and every update as large as it can be.
 M61 = 2**61 - 1
-
-
-def eliminate_plainly(rows, p):
-    """(rank, determinant) mod p by textbook elimination, entry by entry;
-    the determinant is 0 unless the matrix is square of full rank."""
-    rows = [[v % p for v in r] for r in rows]
-    nrows, ncols = len(rows), len(rows[0])
-    rk, det = 0, 1
-    for c in range(ncols):
-        piv = next((i for i in range(rk, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != rk:
-            rows[rk], rows[piv] = rows[piv], rows[rk]
-            det = -det
-        det = det * rows[rk][c] % p
-        inv = pow(rows[rk][c], -1, p)
-        for i in range(rk + 1, nrows):
-            f = rows[i][c] * inv % p
-            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-    return rk, (det if rk == nrows == ncols else 0)
 
 
 def max_growth(n, p):

@@ -9,8 +9,6 @@ from blakley import (
     AdmissibilityExhaustedError,
     InvalidParamsError,
     MixedParamsError,
-    ModMatrix,
-    ModVector,
     PrimeModulus,
     RandomSource,
     SchemeParams,
@@ -20,16 +18,14 @@ from blakley import (
     WrongShareCountError,
     admissible,
     candidate_secrets,
-    determinant,
     encode_share,
-    in_rowspace,
     reconstruct,
     reconstruct_point,
     split,
     verify_share,
 )
 
-from conftest import REFERENCE_POINT, REFERENCE_SECRET
+from conftest import REFERENCE_POINT, REFERENCE_SECRET, eliminate_plainly
 
 
 # Seeded reference splits (p, t, n, secret, seed) and the sha256 of their
@@ -195,9 +191,9 @@ class TestSplit:
             split(1, params, rng, max_attempts=200)
 
     def test_exhaustion_inside_the_attempt_loop(self):
-        # p=2, t=3, n=3 passes the n > max(p, t) fail-fast, yet no
-        # admissible set exists, so split must draw and then give up
-        params = SchemeParams(modulus=PrimeModulus(2), threshold=3, total=3)
+        # p=5, t=3, n=5 passes the fail-fast, but only about one draw in
+        # 800 is admissible, so split must draw and then give up
+        params = SchemeParams(modulus=PrimeModulus(5), threshold=3, total=5)
         rng = RandomSource.seeded(1)
         with pytest.raises(AdmissibilityExhaustedError, match="attempts"):
             split(1, params, rng, max_attempts=8)
@@ -205,6 +201,8 @@ class TestSplit:
     @pytest.mark.parametrize("p, t, n", [
         (7, 3, 10),  # t <= p: an admissible set needs n <= p
         (2, 3, 4),  # t > p: an admissible set needs n <= t
+        (2, 3, 3),  # p = 2: an admissible set needs t even
+        (2, 5, 5),
     ])
     def test_fails_fast_when_no_admissible_set_can_exist(self, p, t, n):
         class NoDraws(RandomSource):
@@ -383,19 +381,20 @@ def test_split_reconstruct_property(p, t, extra, secret, seed):
 
 
 def admissible_by_definition(shares):
-    """admissible() as its docstring defines it, subset by subset: every
-    t-subset has a nonzero determinant, and no subset of fewer than t
-    shares has e_1 in its row space."""
+    """admissible() as its docstring defines it, subset by subset and by
+    textbook elimination, not the library's kernel: every t-subset has a
+    nonzero determinant, and no subset of fewer than t shares has e_1 in
+    its row space, i.e. adding e_1 leaves its rank unchanged."""
     params = shares[0].params
-    modulus, t = params.modulus, params.threshold
+    p, t = params.modulus.p, params.threshold
     rows = [list(s.coeffs) + [-1] for s in shares]
     for sub in itertools.combinations(rows, t):
-        if determinant(ModMatrix(sub, modulus)) == 0:
+        if eliminate_plainly(sub, p)[1] == 0:
             return False
-    e1 = ModVector([1] + [0] * (t - 1), modulus)
+    e1 = [1] + [0] * (t - 1)
     for size in range(1, t):
         for sub in itertools.combinations(rows, size):
-            if in_rowspace(e1, ModMatrix(sub, modulus)):
+            if eliminate_plainly(sub + (e1,), p)[0] == eliminate_plainly(sub, p)[0]:
                 return False
     return True
 

@@ -1,5 +1,5 @@
 """The value objects: PrimeModulus, SchemeParams, SecretPoint, Share,
-LeakageReport and ThresholdSummary.
+LeakageReport, ThresholdSummary, ModMatrix and ModVector.
 
 They compare, hash and print by their fields, refuse assignment and
 deletion, and reduce mod p what they are given.
@@ -15,6 +15,8 @@ import pytest
 from blakley import (
     InvalidParamsError,
     LeakageReport,
+    ModMatrix,
+    ModVector,
     NonPrimeModulusError,
     PrimeModulus,
     SchemeParams,
@@ -36,6 +38,8 @@ BUILDERS = {
     "Share": lambda: Share(1, (4, 19), 68, params73()),
     "LeakageReport": lambda: LeakageReport({0: 1, 1: 1}, 1.0, 1.0, False),
     "ThresholdSummary": lambda: ThresholdSummary(3, 3),
+    "ModMatrix": lambda: ModMatrix([[4, 19, 72], [52, 27, 72]], PrimeModulus(73)),
+    "ModVector": lambda: ModVector([68, 10], PrimeModulus(73)),
 }
 
 FIELDS = {
@@ -45,7 +49,12 @@ FIELDS = {
     "Share": ("index", "coeffs", "constant", "params"),
     "LeakageReport": ("candidate_counts", "entropy_bits", "max_bits", "pinned"),
     "ThresholdSummary": ("secrecy", "integrity"),
+    "ModMatrix": ("entries", "modulus"),
+    "ModVector": ("entries", "modulus"),
 }
+
+# The matrix and vector take rows or values, not their fields, as given.
+FIELD_SIGNATURES = sorted(set(BUILDERS) - {"ModMatrix", "ModVector"})
 
 
 class TestEquality:
@@ -73,11 +82,16 @@ class TestEquality:
         assert Share(1, (4, 19), 68, params73()) != Share(2, (4, 19), 68, params73())
         assert Share(1, (4, 19), 68, params73()) != Share(1, (4, 19), 68, params73(6))
         assert ThresholdSummary(3, 3) != ThresholdSummary(3, 4)
+        assert ModMatrix([[1, 2]], PrimeModulus(73)) != ModMatrix([[1, 3]], PrimeModulus(73))
+        assert ModMatrix([[1, 2]], PrimeModulus(73)) != ModMatrix([[1, 2]], PrimeModulus(71))
+        assert ModVector([1, 2], PrimeModulus(73)) != ModVector([1, 2], PrimeModulus(71))
 
     def test_other_classes_are_unequal(self):
         assert PrimeModulus(73) != 73
         assert ThresholdSummary(3, 3) != (3, 3)
         assert SecretPoint((1, 2, 3), params73()) != (1, 2, 3)
+        assert ModVector([1, 2], PrimeModulus(73)) != (1, 2)
+        assert ModMatrix([[1, 2]], PrimeModulus(73)) != ModVector([1, 2], PrimeModulus(73))
 
         class Summary(ThresholdSummary):
             __slots__ = ()
@@ -114,7 +128,7 @@ class TestImmutability:
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", FIELD_SIGNATURES)
     def test_signature_is_the_fields_in_order(self, name):
         cls = type(BUILDERS[name]())
         assert tuple(inspect.signature(cls).parameters) == FIELDS[name]
