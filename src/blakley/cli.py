@@ -193,7 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--shares", type=int, required=True)
     p_split.add_argument("--out", required=True, help="directory for share_<i>.blk files")
     p_split.add_argument("--seed", type=int, default=None,
-                         help="deterministic randomness for reproducible shares")
+                         help="deterministic randomness for reproducible shares; a seeded"
+                         " split is only as secret as the seed, since the seed and one"
+                         " share give the secret")
     p_split.set_defaults(func=cmd_split)
 
     p_combine = sub.add_parser("combine", help="recover the secret from t share files")

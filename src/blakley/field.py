@@ -108,6 +108,12 @@ class RandomSource:
 
     @classmethod
     def seeded(cls, seed: int) -> "RandomSource":
+        """A reproducible stream from random.Random(seed).
+
+        A split dealt from it is only as secret as the seed: split()'s
+        draws never depend on the secret, so whoever knows the seed
+        replays Q's free coordinates, and one share then gives the secret.
+        """
         return cls(random.Random(seed))
 
     @classmethod

@@ -9,6 +9,9 @@ Any t admissible shares pin Q down as the unique solution of a linear
 system; fewer than t leave x_1 completely undetermined.
 """
 
+import math
+from itertools import islice, repeat
+
 from ._value import _Value, _set
 from .errors import (
     AdmissibilityExhaustedError,
@@ -17,13 +20,18 @@ from .errors import (
     SingularSharesError,
     WrongShareCountError,
 )
-from .field import PrimeModulus, RandomSource, sample_uniform
+from .field import PrimeModulus, RandomSource
 from .modlinalg import _in_rowspace, _solve
 
 # admissible() walks all C(n + 1, t) t-subsets of the n rows plus e_1, at
 # O(t) each, so n is capped. The cap still admits cells out of reach:
 # (32, 64) means C(65, 32) ~ 3.6e18 subsets.
 MAX_SHARES = 64
+
+# The most subsets split() lets one attempt's walk check. It keeps (8, 20)
+# at 203,490 and (10, 20) at 352,716, about 1-2 s a walk at 61 bits, and
+# refuses (12, 24) at 5.2e6 and every larger cell.
+WORK_LIMIT = 10**6
 
 DEFAULT_MAX_ATTEMPTS = 1024
 
@@ -124,9 +132,19 @@ def _independent(rows: list, k: int, p: int) -> bool:
     Depth-first: the k-subsets that start with rows[i] are independent iff
     rows[i] is nonzero and every k-1 of the later rows are, once rows[i]'s
     last nonzero column is eliminated from them and dropped. Elimination is
-    thus shared by every subset with the same prefix, and k = 2 is a cross
-    product per pair.
+    thus shared by every subset with the same prefix. The walk builds no
+    rows at k = 3: det(v, r, s) = (v x r).s, so it takes one cross product
+    per pair and one dot product per later row. k = 2, where only t = 2
+    walks start, is one 2x2 determinant per pair.
     """
+    if k == 3:
+        for i, (a, b, c) in enumerate(rows):
+            for j in range(i + 1, len(rows) - 1):
+                d, e, f = rows[j]
+                x, y, z = (b * f - c * e) % p, (c * d - a * f) % p, (a * e - b * d) % p
+                if not all((x * g + y * h + z * w) % p for g, h, w in rows[j + 1:]):
+                    return False
+        return True
     if k == 2:
         for i, (x, y) in enumerate(rows):
             if not all((a * y - b * x) % p for a, b in rows[i + 1:]):
@@ -162,6 +180,10 @@ def admissible(shares) -> bool:
     already makes some t-subset singular. With fewer than t shares only
     (b) applies, and since a leaking subset leaks in every superset, it is
     the one check that e_1 lies outside the row space of all of them.
+
+    The cost is that of the walk: C(k + 1, t) subsets for k >= t shares,
+    so it grows exponentially with k and is not bounded here; split()
+    refuses cells above WORK_LIMIT before it draws anything.
     """
     params = _shared_params(shares)
     _require_distinct_indices(shares)
@@ -182,9 +204,12 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
           max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> list:
     """Split a secret into n hyperplane shares.
 
-    Draws the remaining coordinates of Q and all plane coefficients
-    uniformly, then solves each constant so the plane passes through Q.
-    The whole set is redrawn until admissible() accepts it.
+    Draw, check, then build. Each attempt draws the remaining coordinates
+    of Q and then all n(t-1) plane coefficients uniformly, as plain ints,
+    and checks the rows as admissible() does. Only the accepted attempt
+    gets constants, solved so each plane passes through Q, and Share
+    objects. The draws are sample_uniform's, in the same order, so a
+    seeded rng gives the same shares and is left in the same state.
 
     Args:
         secret: value in [0, p) to protect.
@@ -197,11 +222,11 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
         AdmissibilityExhaustedError: cap reached, meaning p is too small
             for this (t, n) to pass the subset checks by chance; or, before
             anything is drawn, n > max(p, t) or p = 2 with t odd, where no
-            admissible set exists at all.
+            admissible set exists at all, or C(n + 1, t) > WORK_LIMIT, where
+            checking one attempt would take too long.
     """
     _require_splittable(params)
-    modulus = params.modulus
-    p = modulus.p
+    p = params.modulus.p
     if not 0 <= secret < p:
         raise InvalidParamsError(f"secret must lie in [0, {p})")
     if max_attempts < 1:
@@ -220,15 +245,25 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
             f"no admissible share set exists for p={p}, t={t}, n={n} ({why}),"
             " so no number of attempts can find one"
         )
+    subsets = math.comb(n + 1, t)
+    if subsets > WORK_LIMIT:
+        raise AdmissibilityExhaustedError(
+            f"checking one share set for p={p}, t={t}, n={n} takes C({n + 1}, {t})"
+            f" = {subsets} subset checks, more than WORK_LIMIT = {WORK_LIMIT},"
+            " so no attempts are made"
+        )
+    # sample_uniform's loop, lazily: getrandbits(bits(p)) until a draw is
+    # below p, so each value costs the same calls as one sample_uniform.
+    draws = filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))
+    e1 = [1] + [0] * (t - 1)
     for _ in range(max_attempts):
-        coords = [secret] + [sample_uniform(rng, modulus) for _ in range(t - 1)]
-        shares = []
-        for i in range(1, n + 1):
-            coeffs = tuple(sample_uniform(rng, modulus) for _ in range(t - 1))
-            c = (coords[-1] - sum(a * x for a, x in zip(coeffs, coords))) % p
-            shares.append(Share(i, coeffs, c, params))
-        if admissible(shares):
-            return shares
+        coords = [secret, *islice(draws, t - 1)]
+        # Row form of each plane, as _normal_rows gives it.
+        rows = [[*islice(draws, t - 1), p - 1] for _ in range(n)]
+        if _independent([e1] + rows, t, p):
+            # row . Q = a . x - x_t = -c
+            return [Share(i, row[:-1], -sum(a * x for a, x in zip(row, coords)) % p, params)
+                    for i, row in enumerate(rows, 1)]
     raise AdmissibilityExhaustedError(
         f"no admissible share set in {max_attempts} attempts for p={p}, t={t}, n={n}"
     )

@@ -3,7 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from blakley import PrimeModulus, RandomSource, SchemeParams, Share
+from blakley import (
+    AdmissibilityExhaustedError,
+    InvalidParamsError,
+    PrimeModulus,
+    RandomSource,
+    SchemeParams,
+    Share,
+    admissible,
+    sample_uniform,
+)
 
 # pyproject.toml puts src/ on this process's path; child processes
 # (python -m blakley) get it too, so a bare `pytest` tests the checkout.
@@ -49,6 +58,38 @@ def eliminate_plainly(rows, p):
             rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rk])]
         rk += 1
     return rk, (det if rk == nrows == ncols else 0)
+
+
+# The reference for split()'s random stream: the paper's rejection dealer
+# written plainly, one sample_uniform per value, one Share per share and
+# one admissible() per attempt, with split()'s checks and messages.
+def split_by_definition(secret, params, rng, max_attempts=1024):
+    p, t, n = params.modulus.p, params.threshold, params.total
+    if t < 2:
+        raise InvalidParamsError("splitting needs threshold >= 2")
+    if not 0 <= secret < p:
+        raise InvalidParamsError(f"secret must lie in [0, {p})")
+    if max_attempts < 1:
+        raise InvalidParamsError("max_attempts must be positive")
+    if n > max(p, t) or (p == 2 and t % 2):
+        why = (f"n may be at most max(p, t) = {max(p, t)}" if n > max(p, t)
+               else "t must be even when p = 2")
+        raise AdmissibilityExhaustedError(
+            f"no admissible share set exists for p={p}, t={t}, n={n} ({why}),"
+            " so no number of attempts can find one"
+        )
+    for _ in range(max_attempts):
+        coords = [secret] + [sample_uniform(rng, params.modulus) for _ in range(t - 1)]
+        shares = []
+        for i in range(1, n + 1):
+            coeffs = tuple(sample_uniform(rng, params.modulus) for _ in range(t - 1))
+            c = (coords[-1] - sum(a * x for a, x in zip(coeffs, coords))) % p
+            shares.append(Share(i, coeffs, c, params))
+        if admissible(shares):
+            return shares
+    raise AdmissibilityExhaustedError(
+        f"no admissible share set in {max_attempts} attempts for p={p}, t={t}, n={n}"
+    )
 
 
 @pytest.fixture

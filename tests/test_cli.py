@@ -89,6 +89,21 @@ class TestSplit:
         err = capsys.readouterr().err
         assert "error:" in err and "attempts" in err
 
+    def test_walk_above_work_limit_exits_3(self, tmp_path, capsys):
+        # C(65, 32) ~ 3.6e18 subset checks per attempt: refused up front
+        out = tmp_path / "x"
+        rc = main(["split", "--secret", "1", "--prime", str(2**61 - 1),
+                   "--threshold", "32", "--shares", "64", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "WORK_LIMIT" in err and "attempts" in err
+        assert not out.exists()
+
+    def test_seed_help_says_a_seeded_split_is_only_as_secret_as_its_seed(self, capsys):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["split", "--help"])
+        assert "only as secret as the seed" in " ".join(capsys.readouterr().out.split())
+
 
 class TestCombine:
     def test_reference_secret(self, share_files, capsys):
@@ -430,6 +445,16 @@ class TestTopLevel:
         # not what the interpreter had loaded before it.
         code = ("import sys; before = set(sys.modules); import blakley.cli; "
                 "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_library_import_loads_no_cli_or_argparse(self):
+        # Otherwise every process that imports the library would load the
+        # command line front end too, and compile it when no bytecode is cached.
+        code = ("import sys; before = set(sys.modules); import blakley; "
+                "print(sorted({'blakley.cli', 'argparse'} & (set(sys.modules) - before)))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

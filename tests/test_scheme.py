@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -21,11 +22,18 @@ from blakley import (
     encode_share,
     reconstruct,
     reconstruct_point,
+    sample_uniform,
     split,
     verify_share,
 )
+from blakley.scheme import WORK_LIMIT, _independent
 
-from conftest import REFERENCE_POINT, REFERENCE_SECRET, eliminate_plainly
+from conftest import (
+    REFERENCE_POINT,
+    REFERENCE_SECRET,
+    eliminate_plainly,
+    split_by_definition,
+)
 
 
 # Seeded reference splits (p, t, n, secret, seed) and the sha256 of their
@@ -45,6 +53,14 @@ GOLDEN_DIGEST = "69d92fd24680a6cba531a43b9ae9485b0248d143ecc2468b1619ea5ac20998f
 
 def make_share(index, coeffs, constant, params):
     return Share(index=index, coeffs=tuple(coeffs), constant=constant, params=params)
+
+
+class NoDraws(RandomSource):
+    def __init__(self):
+        super().__init__(None)
+
+    def getrandbits(self, k):
+        raise AssertionError("split drew randomness")
 
 
 class TestParams:
@@ -205,13 +221,74 @@ class TestSplit:
         (2, 5, 5),
     ])
     def test_fails_fast_when_no_admissible_set_can_exist(self, p, t, n):
-        class NoDraws(RandomSource):
-            def getrandbits(self, k):
-                raise AssertionError("split drew randomness")
-
         params = SchemeParams(modulus=PrimeModulus(p), threshold=t, total=n)
         with pytest.raises(AdmissibilityExhaustedError, match="attempts"):
-            split(1, params, NoDraws(None))
+            split(1, params, NoDraws())
+
+    @pytest.mark.parametrize("t, n", [(32, 64), (16, 32), (12, 24)])
+    def test_refuses_walks_above_work_limit_before_drawing(self, t, n):
+        # one attempt at (32, 64) would check C(65, 32) ~ 3.6e18 subsets
+        params = SchemeParams(PrimeModulus(2**61 - 1), t, n)
+        with pytest.raises(AdmissibilityExhaustedError) as info:
+            split(1, params, NoDraws())
+        assert str(info.value) == (
+            f"checking one share set for p={2**61 - 1}, t={t}, n={n} takes"
+            f" C({n + 1}, {t}) = {math.comb(n + 1, t)} subset checks, more than"
+            f" WORK_LIMIT = {WORK_LIMIT}, so no attempts are made")
+
+    def test_work_limit_keeps_the_cells_a_walk_finishes(self):
+        # (8, 20) and (10, 20) take about 1-2 s a walk at 61 bits
+        assert math.comb(21, 8) <= math.comb(21, 10) <= WORK_LIMIT < math.comb(25, 12)
+
+    def test_draws_as_the_plain_dealer(self):
+        # Same shares or the same error, and the generator left in the same
+        # state, as the dealer that draws with sample_uniform and checks
+        # Share objects with admissible(); max_attempts=64 makes the tight
+        # cells exhaust inside the attempt loop.
+        outcomes = set()
+        for p in (2, 3, 5, 7, 11, 13, 31, 101, 2**31 - 1, 2**61 - 1):
+            modulus = PrimeModulus(p)
+            for t in range(2, 6):
+                for n in range(t, t + 5):
+                    params = SchemeParams(modulus, t, n)
+                    secret, seed = (t * n) % p, p * 100 + t * 10 + n
+                    results = []
+                    for dealer in (split, split_by_definition):
+                        rng = RandomSource.seeded(seed)
+                        try:
+                            got = dealer(secret, params, rng, max_attempts=64)
+                        except AdmissibilityExhaustedError as e:
+                            got = (type(e), str(e))
+                        results.append((got, rng._rng.getstate()))
+                    assert results[0] == results[1], (p, t, n)
+                    got = results[0][0]
+                    outcomes.add("dealt" if isinstance(got, list) else got[1].split(" for ")[0])
+        assert outcomes == {"dealt", "no admissible share set in 64 attempts",
+                            "no admissible share set exists"}
+
+    def test_a_seeded_split_is_only_as_secret_as_its_seed(self):
+        # The draws never depend on the secret, so the seed replays them:
+        # the attempt whose row for this share matches its coefficients
+        # gives Q's free coordinates, and one plane then gives x_1:
+        # s = (x_t - sum_{j>=2} a_j x_j - c) / a_1.
+        p, t, n, seed = 2**61 - 1, 3, 5, 4242
+        params = SchemeParams(PrimeModulus(p), t, n)
+        secret = random.Random(seed).randrange(p)
+        share = split(secret, params, RandomSource.seeded(seed))[2]
+        replay = RandomSource.seeded(seed)
+        for _ in range(64):
+            free = [sample_uniform(replay, params.modulus) for _ in range(t - 1)]
+            rows = [tuple(sample_uniform(replay, params.modulus) for _ in range(t - 1))
+                    for _ in range(n)]
+            if rows[share.index - 1] == share.coeffs:
+                break
+        else:
+            pytest.fail("replay never met the share's coefficients")
+        a1, *rest = share.coeffs
+        assert a1 != 0
+        s = (free[-1] - sum(a * x for a, x in zip(rest, free)) - share.constant) \
+            * pow(a1, -1, p) % p
+        assert s == secret
 
     def test_tight_small_case_is_exhaustion_or_valid(self):
         # p=2, t=2, n=2 leaves almost no room; either outcome is
@@ -431,3 +508,52 @@ def test_admissible_matches_definition_on_both_verdicts():
         verdicts.append((verdict, len(shares) >= t))
     # accepted and rejected sets both occur, with fewer than t shares and with more
     assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def independent_by_definition(rows, k, p):
+    """Every k of the rows independent, checked subset by subset."""
+    return all(eliminate_plainly(sub, p)[0] == k for sub in itertools.combinations(rows, k))
+
+
+def structured_rows(rnd, p, k, m):
+    """m rows of length k, with zero entries, repeated and proportional
+    directions and sums of earlier rows mixed in among random ones."""
+    rows = []
+    for _ in range(m):
+        kind = rnd.randrange(5)
+        if kind == 0 and rows:
+            f = rnd.choice([1, rnd.randrange(1, p)])
+            row = [f * v for v in rnd.choice(rows)]
+        elif kind == 1 and len(rows) >= 2:
+            picked = rnd.sample(rows, min(len(rows), k - 1))
+            row = [sum(rnd.randrange(p) * r[j] for r in picked) for j in range(k)]
+        elif kind == 2:
+            row = [rnd.randrange(p) if rnd.randrange(2) else 0 for _ in range(k)]
+        else:
+            row = [rnd.randrange(p) for _ in range(k)]
+        rows.append([v % p for v in row])
+    rnd.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_walk_matches_subset_oracle(k):
+    # k = 3 is the cross-product leaf itself; k = 4 reaches it after one
+    # elimination step
+    rnd = random.Random(k)
+    verdicts = set()
+    for p in (2, 3, 5, 7, 11, 13, 2**61 - 1):
+        for m in (k, k + 1, k + 2, k + 3):
+            for _ in range(40):
+                rows = structured_rows(rnd, p, k, m)
+                verdict = _independent(rows, k, p)
+                assert verdict is independent_by_definition(rows, k, p), (p, m, rows)
+                verdicts.add((verdict, m == k))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_walk_leaf_exhaustively_at_p_2(m):
+    for entries in itertools.product((0, 1), repeat=3 * m):
+        rows = [list(entries[3 * i:3 * i + 3]) for i in range(m)]
+        assert _independent(rows, 3, 2) is independent_by_definition(rows, 3, 2), rows
