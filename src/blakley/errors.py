@@ -54,11 +54,13 @@ class MixedParamsError(BlakleyError):
 
 
 class AdmissibilityExhaustedError(BlakleyError):
-    """The rejection loop hit its retry cap without an admissible share set.
+    """No admissible share set can be dealt, or one set cannot be checked.
 
-    This signals p is too small relative to n and t, not a transient
-    failure: retrying with the same parameters will almost surely stall
-    again.
+    split() raises it when its rejection loop hits its attempt cap, which
+    signals p is too small relative to n and t, or before drawing when no
+    admissible set exists. split() and admissible() raise it when the
+    check would take more than WORK_LIMIT subset checks. None of these is
+    a transient failure: retrying with the same parameters stalls again.
     """
 
 

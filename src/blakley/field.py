@@ -7,6 +7,7 @@ and the primality test below remains deterministic.
 
 import functools
 import random
+from itertools import repeat
 
 from ._value import _Value, _set
 from .errors import (
@@ -128,15 +129,16 @@ class RandomSource:
         return self._rng.sample(population, k)
 
 
+def _uniform(rng: RandomSource, p: int):
+    # Uniform residues in [0, p), lazily and forever: each costs only the
+    # bit_length(p)-bit draws up to the first one below p.
+    return filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))
+
+
 def sample_uniform(rng: RandomSource, modulus: PrimeModulus) -> int:
     """Uniform draw from GF(p), as its canonical residue in [0, p).
 
     Rejection sampling on bit_length(p)-bit draws, so no residue is
     favored by a modulo fold.
     """
-    p = modulus.p
-    k = p.bit_length()
-    while True:
-        v = rng.getrandbits(k)
-        if v < p:
-            return v
+    return next(_uniform(rng, modulus.p))

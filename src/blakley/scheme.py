@@ -10,7 +10,7 @@ system; fewer than t leave x_1 completely undetermined.
 """
 
 import math
-from itertools import islice, repeat
+from itertools import islice
 
 from ._value import _Value, _set
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     SingularSharesError,
     WrongShareCountError,
 )
-from .field import PrimeModulus, RandomSource
+from .field import PrimeModulus, RandomSource, _uniform
 from .modlinalg import _in_rowspace, _solve
 
 # admissible() walks all C(n + 1, t) t-subsets of the n rows plus e_1, at
@@ -28,12 +28,30 @@ from .modlinalg import _in_rowspace, _solve
 # (32, 64) means C(65, 32) ~ 3.6e18 subsets.
 MAX_SHARES = 64
 
-# The most subsets split() lets one attempt's walk check. It keeps (8, 20)
-# at 203,490 and (10, 20) at 352,716, about 1-2 s a walk at 61 bits, and
-# refuses (12, 24) at 5.2e6 and every larger cell.
+# The most subsets one walk may check, in split() or admissible(). It keeps
+# (8, 20) at 203,490 and (10, 20) at 352,716, about 1-2 s a walk at 61 bits,
+# and refuses (12, 24) at 5.2e6 and every larger cell.
 WORK_LIMIT = 10**6
 
+# The attempts split() makes before it gives up, read at each call.
 DEFAULT_MAX_ATTEMPTS = 1024
+
+
+def _require_int(name: str, value):
+    # Name the type, never the value: the value may be a secret.
+    if not isinstance(value, int):
+        raise InvalidParamsError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        )
+
+
+def _require_walkable(k: int, t: int, what: str, consequence: str):
+    subsets = math.comb(k + 1, t)
+    if subsets > WORK_LIMIT:
+        raise AdmissibilityExhaustedError(
+            f"checking {what} takes C({k + 1}, {t}) = {subsets} subset checks,"
+            f" more than WORK_LIMIT = {WORK_LIMIT}, so {consequence}"
+        )
 
 
 class SchemeParams(_Value):
@@ -46,6 +64,8 @@ class SchemeParams(_Value):
     __slots__ = _fields = ("modulus", "threshold", "total")
 
     def __init__(self, modulus: PrimeModulus, threshold: int, total: int):
+        _require_int("threshold", threshold)
+        _require_int("total", total)
         if not 1 <= threshold <= total <= MAX_SHARES:
             raise InvalidParamsError(
                 f"need 1 <= t <= n <= {MAX_SHARES}, got t={threshold}, n={total}"
@@ -81,6 +101,7 @@ class Share(_Value):
     __slots__ = _fields = ("index", "coeffs", "constant", "params")
 
     def __init__(self, index: int, coeffs: tuple, constant: int, params: SchemeParams):
+        _require_int("share index", index)
         p = params.modulus.p
         coeffs = tuple(v % p for v in coeffs)
         constant %= p
@@ -182,8 +203,12 @@ def admissible(shares) -> bool:
     the one check that e_1 lies outside the row space of all of them.
 
     The cost is that of the walk: C(k + 1, t) subsets for k >= t shares,
-    so it grows exponentially with k and is not bounded here; split()
-    refuses cells above WORK_LIMIT before it draws anything.
+    so it grows exponentially with k. Above WORK_LIMIT there is no verdict:
+    the set is refused before the walk starts, as split() refuses such a
+    cell before it draws anything.
+
+    Raises:
+        AdmissibilityExhaustedError: k >= t and C(k + 1, t) > WORK_LIMIT.
     """
     params = _shared_params(shares)
     _require_distinct_indices(shares)
@@ -192,6 +217,8 @@ def admissible(shares) -> bool:
     e1 = [1] + [0] * (t - 1)
     if len(rows) < t:
         return not _in_rowspace(e1, rows, p)
+    _require_walkable(len(rows), t, f"{len(rows)} shares at t={t}",
+                      "admissible() gives no verdict")
     return _independent([e1] + rows, t, p)
 
 
@@ -200,8 +227,7 @@ def _require_splittable(params: SchemeParams):
         raise InvalidParamsError("splitting needs threshold >= 2")
 
 
-def split(secret: int, params: SchemeParams, rng: RandomSource,
-          max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> list:
+def split(secret: int, params: SchemeParams, rng: RandomSource) -> list:
     """Split a secret into n hyperplane shares.
 
     Draw, check, then build. Each attempt draws the remaining coordinates
@@ -215,22 +241,22 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
         secret: value in [0, p) to protect.
         params: scheme configuration with threshold >= 2.
         rng: randomness source; seed it for reproducible shares.
-        max_attempts: rejection-loop cap before giving up.
 
     Raises:
-        InvalidParamsError: secret out of range or threshold < 2.
-        AdmissibilityExhaustedError: cap reached, meaning p is too small
-            for this (t, n) to pass the subset checks by chance; or, before
-            anything is drawn, n > max(p, t) or p = 2 with t odd, where no
-            admissible set exists at all, or C(n + 1, t) > WORK_LIMIT, where
-            checking one attempt would take too long.
+        InvalidParamsError: secret not an int or out of range, or
+            threshold < 2.
+        AdmissibilityExhaustedError: DEFAULT_MAX_ATTEMPTS attempts failed,
+            meaning p is too small for this (t, n) to pass the subset
+            checks by chance; or, before anything is drawn, n > max(p, t)
+            or p = 2 with t odd, where no admissible set exists at all, or
+            C(n + 1, t) > WORK_LIMIT, where checking one attempt would take
+            too long.
     """
     _require_splittable(params)
+    _require_int("secret", secret)
     p = params.modulus.p
     if not 0 <= secret < p:
         raise InvalidParamsError(f"secret must lie in [0, {p})")
-    if max_attempts < 1:
-        raise InvalidParamsError("max_attempts must be positive")
     t, n = params.threshold, params.total
     # The rows plus e_1 are n + 1 vectors in GF(p)^t of which every t are
     # a basis. That needs n <= p when t <= p (Ball's proof of the MDS
@@ -245,18 +271,11 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
             f"no admissible share set exists for p={p}, t={t}, n={n} ({why}),"
             " so no number of attempts can find one"
         )
-    subsets = math.comb(n + 1, t)
-    if subsets > WORK_LIMIT:
-        raise AdmissibilityExhaustedError(
-            f"checking one share set for p={p}, t={t}, n={n} takes C({n + 1}, {t})"
-            f" = {subsets} subset checks, more than WORK_LIMIT = {WORK_LIMIT},"
-            " so no attempts are made"
-        )
-    # sample_uniform's loop, lazily: getrandbits(bits(p)) until a draw is
-    # below p, so each value costs the same calls as one sample_uniform.
-    draws = filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))
+    _require_walkable(n, t, f"one share set for p={p}, t={t}, n={n}",
+                      "no attempts are made")
+    draws = _uniform(rng, p)
     e1 = [1] + [0] * (t - 1)
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_MAX_ATTEMPTS):
         coords = [secret, *islice(draws, t - 1)]
         # Row form of each plane, as _normal_rows gives it.
         rows = [[*islice(draws, t - 1), p - 1] for _ in range(n)]
@@ -265,7 +284,7 @@ def split(secret: int, params: SchemeParams, rng: RandomSource,
             return [Share(i, row[:-1], -sum(a * x for a, x in zip(row, coords)) % p, params)
                     for i, row in enumerate(rows, 1)]
     raise AdmissibilityExhaustedError(
-        f"no admissible share set in {max_attempts} attempts for p={p}, t={t}, n={n}"
+        f"no admissible share set in {DEFAULT_MAX_ATTEMPTS} attempts for p={p}, t={t}, n={n}"
     )
 
 

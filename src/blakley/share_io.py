@@ -14,6 +14,7 @@ import re
 
 from .errors import (
     BadMagicError,
+    InvalidParamsError,
     MalformedFieldError,
     ModulusTooWideError,
     RangeViolationError,
@@ -76,14 +77,15 @@ def decode_share(record: str) -> Share:
 
     A single trailing linefeed is tolerated; everything else must match
     the grammar byte for byte. Checks run in a fixed order: magic, then
-    grammar, then p primality, then coefficient arity, then ranges.
+    grammar, then p, then coefficient arity, then values below p, then
+    the ranges of t, n and i, which SchemeParams and Share check.
 
     Raises:
         BadMagicError: first token is not BLK1.
         MalformedFieldError: grammar violation or wrong coefficient count.
         NonPrimeModulusError: p is composite or below 2.
-        RangeViolationError: t > n, i outside 1..n, n too large, value >= p,
-            or p outside the supported width. A number of more than 19
+        RangeViolationError: p outside the supported width, value >= p,
+            t > n, n too large or i outside 1..n. A number of more than 19
             digits is never parsed: it fails the first of these checks
             that bounds it, as any 20-digit number does.
     """
@@ -103,16 +105,13 @@ def decode_share(record: str) -> Share:
         raise MalformedFieldError(
             f"t={t} requires t-1 coefficients, record carries {len(coeffs)}"
         )
-    if not 1 <= t <= n:
-        raise RangeViolationError(f"threshold t={t} outside 1..n={n}")
-    if n > MAX_SHARES:
-        raise RangeViolationError(f"n={n} exceeds the {MAX_SHARES} share cap")
-    if not 1 <= i <= n:
-        raise RangeViolationError(f"index i={i} outside 1..{n}")
     # Name the field, never its value: c + p would reveal the constant c.
     for j, v in enumerate(coeffs, 1):
         if v >= p_raw:
             raise RangeViolationError(f"coefficient a[{j}] is not reduced mod p={p_raw}")
     if c >= p_raw:
         raise RangeViolationError(f"c is not reduced mod p={p_raw}")
-    return Share(i, coeffs, c, SchemeParams(modulus, t, n))
+    try:
+        return Share(i, coeffs, c, SchemeParams(modulus, t, n))
+    except InvalidParamsError as e:
+        raise RangeViolationError(str(e)) from None

@@ -1,3 +1,4 @@
+import itertools
 import os
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from blakley import (
     Share,
     admissible,
     sample_uniform,
+    scheme,
 )
 
 # pyproject.toml puts src/ on this process's path; child processes
@@ -35,9 +37,10 @@ REFERENCE_SECRET = 42
 REFERENCE_POINT = (42, 29, 57)
 
 
-# The independent oracle for the elimination kernel: the tests of
-# modlinalg check the kernel against it, and the tests of scheme decide
-# admissibility with it instead of the kernel that admissible() runs.
+# The reference oracles, one copy each and none of them calling the library's
+# kernels. eliminate_plainly is the oracle for the elimination kernel: the
+# tests of modlinalg check the kernel against it, and the tests of scheme
+# decide admissibility with it instead of the kernel that admissible() runs.
 def eliminate_plainly(rows, p):
     """(rank, determinant) mod p by textbook elimination, entry by entry;
     the determinant is 0 unless the matrix is square of full rank."""
@@ -60,17 +63,83 @@ def eliminate_plainly(rows, p):
     return rk, (det if rk == nrows == ncols else 0)
 
 
+def det_cofactor(rows, p):
+    """Determinant by cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0] % p
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * det_cofactor(minor, p)
+        total += -term if j % 2 else term
+    return total % p
+
+
+def solve_exhaustive(rows, b, p):
+    """All x in GF(p)^n with A x = b, found by full enumeration."""
+    n = len(rows)
+    hits = []
+    for x in itertools.product(range(p), repeat=n):
+        if all(sum(a * v for a, v in zip(row, x)) % p == bv % p
+               for row, bv in zip(rows, b)):
+            hits.append(x)
+    return hits
+
+
+def independent_by_definition(rows, k, p):
+    """Every k of the rows independent, checked subset by subset."""
+    return all(eliminate_plainly(sub, p)[0] == k for sub in itertools.combinations(rows, k))
+
+
+def admissible_by_definition(shares):
+    """admissible() as its docstring defines it, subset by subset and by
+    textbook elimination, not the library's kernel: every t-subset has a
+    nonzero determinant, and no subset of fewer than t shares has e_1 in
+    its row space, i.e. adding e_1 leaves its rank unchanged."""
+    params = shares[0].params
+    p, t = params.modulus.p, params.threshold
+    rows = [list(s.coeffs) + [-1] for s in shares]
+    for sub in itertools.combinations(rows, t):
+        if eliminate_plainly(sub, p)[1] == 0:
+            return False
+    e1 = [1] + [0] * (t - 1)
+    for size in range(1, t):
+        for sub in itertools.combinations(rows, size):
+            if eliminate_plainly(sub + (e1,), p)[0] == eliminate_plainly(sub, p)[0]:
+                return False
+    return True
+
+
+def oracle_counts(planes, p, t):
+    """Same tally as candidate_secrets, written independently: the literal
+    walk over all p**t points, one plane test per point and plane, which
+    candidate_secrets ran before it walked p**(t-1) prefixes."""
+    counts = {v: 0 for v in range(p)}
+    for pt in itertools.product(range(p), repeat=t):
+        ok = True
+        for coeffs, c in planes:
+            acc = c
+            for a, x in zip(coeffs, pt):
+                acc += a * x
+            if pt[t - 1] != acc % p:
+                ok = False
+                break
+        if ok:
+            counts[pt[0]] += 1
+    return counts
+
+
 # The reference for split()'s random stream: the paper's rejection dealer
 # written plainly, one sample_uniform per value, one Share per share and
-# one admissible() per attempt, with split()'s checks and messages.
-def split_by_definition(secret, params, rng, max_attempts=1024):
+# one admissible() per attempt, with split()'s checks, messages and cap.
+def split_by_definition(secret, params, rng):
     p, t, n = params.modulus.p, params.threshold, params.total
+    max_attempts = scheme.DEFAULT_MAX_ATTEMPTS
     if t < 2:
         raise InvalidParamsError("splitting needs threshold >= 2")
     if not 0 <= secret < p:
         raise InvalidParamsError(f"secret must lie in [0, {p})")
-    if max_attempts < 1:
-        raise InvalidParamsError("max_attempts must be positive")
     if n > max(p, t) or (p == 2 and t % 2):
         why = (f"n may be at most max(p, t) = {max(p, t)}" if n > max(p, t)
                else "t must be even when p = 2")

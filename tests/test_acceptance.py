@@ -39,9 +39,10 @@ from blakley import (
     solve,
     split,
 )
+from blakley import scheme
 from blakley.cli import main as cli_main
 
-from conftest import REFERENCE_POINT, REFERENCE_SECRET
+from conftest import REFERENCE_POINT, REFERENCE_SECRET, det_cofactor, solve_exhaustive
 
 ENTROPY_TOL = 1e-12
 
@@ -109,14 +110,14 @@ def test_criterion_2_random_round_trips():
     assert elapsed < 60.0, line
 
 
-def test_criterion_3_sub_threshold_uniformity():
+def test_criterion_3_sub_threshold_uniformity(monkeypatch):
+    monkeypatch.setattr(scheme, "DEFAULT_MAX_ATTEMPTS", 20000)
     checked = 0
     for p in (3, 5, 7, 11):
         for t in (2, 3):
             n = min(t + 1, p)
             params = SchemeParams(PrimeModulus(p), t, n)
-            shares = split(1 % p, params, RandomSource.seeded(0),
-                           max_attempts=20000)
+            shares = split(1 % p, params, RandomSource.seeded(0))
             assert admissible(shares)
             for k in range(0, t):
                 for subset in itertools.combinations(shares, k):
@@ -159,18 +160,6 @@ def test_criterion_4_degenerate_pair_leaks(reference_shares):
     assert True, line
 
 
-def det_cofactor(rows, p):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % p
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor, p)
-        total += -term if j % 2 else term
-    return total % p
-
-
 def test_criterion_5_solver_against_exhaustion():
     rnd = random.Random(55)
     singular = 0
@@ -179,9 +168,7 @@ def test_criterion_5_solver_against_exhaustion():
         modulus = PrimeModulus(p)
         rows = [[rnd.randrange(p) for _ in range(3)] for _ in range(3)]
         b = [rnd.randrange(p) for _ in range(3)]
-        hits = [x for x in itertools.product(range(p), repeat=3)
-                if all(sum(a * v for a, v in zip(row, x)) % p == bv
-                       for row, bv in zip(rows, b))]
+        hits = solve_exhaustive(rows, b, p)
         m = ModMatrix(rows, modulus)
         det = determinant(m)
         assert det == det_cofactor(rows, p)

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -19,26 +18,9 @@ from blakley import (
     split,
 )
 
+from conftest import oracle_counts
+
 TOL = 1e-12
-
-
-def oracle_counts(planes, p, t):
-    """Same tally as candidate_secrets, written independently: the literal
-    walk over all p**t points, one plane test per point and plane, which
-    candidate_secrets ran before it walked p**(t-1) prefixes."""
-    counts = {v: 0 for v in range(p)}
-    for pt in itertools.product(range(p), repeat=t):
-        ok = True
-        for coeffs, c in planes:
-            acc = c
-            for a, x in zip(coeffs, pt):
-                acc += a * x
-            if pt[t - 1] != acc % p:
-                ok = False
-                break
-        if ok:
-            counts[pt[0]] += 1
-    return counts
 
 
 class TestCandidateSecrets:

@@ -450,6 +450,17 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_cli_import_loads_only_the_standard_library(self):
+        # The package is stdlib-only. -S keeps site's .pth files from
+        # loading a third-party module before blakley could import it.
+        code = ("import sys; before = set(sys.modules); import blakley.cli; "
+                "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+                " - set(sys.stdlib_module_names) - {'blakley'}))")
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_library_import_loads_no_cli_or_argparse(self):
         # Otherwise every process that imports the library would load the
         # command line front end too, and compile it when no bytecode is cached.

@@ -18,35 +18,11 @@ from blakley import (
     solve,
 )
 
-from conftest import eliminate_plainly
+from conftest import det_cofactor, eliminate_plainly, solve_exhaustive
 
 # Normal-form system of the reference share set, subset {1, 2, 3}.
 REFERENCE_ROWS = [[4, 19, -1], [52, 27, -1], [36, 65, -1]]
 REFERENCE_RHS = [-68, -10, -18]
-
-
-def det_cofactor(rows, p):
-    """Determinant by cofactor expansion along the first row."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % p
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor, p)
-        total += -term if j % 2 else term
-    return total % p
-
-
-def solve_exhaustive(rows, b, p):
-    """All x in GF(p)^n with A x = b, found by full enumeration."""
-    n = len(rows)
-    hits = []
-    for x in itertools.product(range(p), repeat=n):
-        if all(sum(a * v for a, v in zip(row, x)) % p == bv % p
-               for row, bv in zip(rows, b)):
-            hits.append(x)
-    return hits
 
 
 def random_rows(rnd, n, p):

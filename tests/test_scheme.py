@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,12 +27,14 @@ from blakley import (
     split,
     verify_share,
 )
+from blakley import scheme
 from blakley.scheme import WORK_LIMIT, _independent
 
 from conftest import (
     REFERENCE_POINT,
     REFERENCE_SECRET,
-    eliminate_plainly,
+    admissible_by_definition,
+    independent_by_definition,
     split_by_definition,
 )
 
@@ -82,6 +85,10 @@ class TestParams:
             SchemeParams(modulus=mod73, threshold=2, total=65)
         with pytest.raises(InvalidParamsError):
             SchemeParams(modulus=mod73, threshold=2, total=0)
+        with pytest.raises(InvalidParamsError, match="threshold must be an integer, got float"):
+            SchemeParams(modulus=mod73, threshold=3.0, total=5)
+        with pytest.raises(InvalidParamsError, match="total must be an integer, got float"):
+            SchemeParams(modulus=mod73, threshold=3, total=5.0)
 
 
 class TestShare:
@@ -106,6 +113,8 @@ class TestShare:
             make_share(0, (4, 19), 68, reference_params)
         with pytest.raises(InvalidParamsError):
             make_share(6, (4, 19), 68, reference_params)
+        with pytest.raises(InvalidParamsError, match="share index must be an integer, got float"):
+            make_share(1.5, (4, 19), 68, reference_params)
 
     def test_threshold_one_cannot_carry_shares(self, mod73):
         degenerate = SchemeParams(modulus=mod73, threshold=1, total=1)
@@ -149,6 +158,23 @@ class TestAdmissible:
     def test_too_few_shares(self, reference_shares):
         with pytest.raises(WrongShareCountError):
             admissible([])
+
+    def test_refuses_sets_above_work_limit(self, reference_shares):
+        # 64 shares at t = 32 would walk C(65, 32) ~ 3.6e18 subsets
+        p, t, k = 2**61 - 1, 32, 64
+        shares = random_share_set(p, t, k, seed=32)
+        start = time.perf_counter()
+        with pytest.raises(AdmissibilityExhaustedError) as info:
+            admissible(shares)
+        assert time.perf_counter() - start < 1.0
+        message = str(info.value)
+        assert message == (
+            f"checking {k} shares at t={t} takes C({k + 1}, {t}) = {math.comb(k + 1, t)}"
+            f" subset checks, more than WORK_LIMIT = {WORK_LIMIT}, so admissible()"
+            " gives no verdict")
+        assert not any(str(v) in message for s in shares for v in (*s.coeffs, s.constant))
+        # a set within the limit still gets its verdict
+        assert admissible(reference_shares) is False
 
     def test_pair_pinning_the_secret_below_t_minus_one_rejected(self):
         # the two planes differ only in a_1, so subtracting them pins x_1;
@@ -198,21 +224,29 @@ class TestSplit:
         with pytest.raises(InvalidParamsError):
             split(-1, reference_params, rng)
 
+    def test_secret_must_be_an_integer(self, reference_params):
+        # 42.0 once dealt shares with constant 72.0, whose records did not
+        # decode; the message names the type, never the value
+        with pytest.raises(InvalidParamsError) as info:
+            split(42.0, reference_params, NoDraws())
+        assert str(info.value) == "secret must be an integer, got float"
+
     def test_exhaustion_when_no_admissible_set_exists(self):
         # t=3 needs pairwise distinct second coefficients, so n=4
         # planes cannot all coexist mod 3
         params = SchemeParams(modulus=PrimeModulus(3), threshold=3, total=4)
         rng = RandomSource.seeded(2)
         with pytest.raises(AdmissibilityExhaustedError):
-            split(1, params, rng, max_attempts=200)
+            split(1, params, rng)
 
-    def test_exhaustion_inside_the_attempt_loop(self):
+    def test_exhaustion_inside_the_attempt_loop(self, monkeypatch):
         # p=5, t=3, n=5 passes the fail-fast, but only about one draw in
         # 800 is admissible, so split must draw and then give up
+        monkeypatch.setattr(scheme, "DEFAULT_MAX_ATTEMPTS", 8)
         params = SchemeParams(modulus=PrimeModulus(5), threshold=3, total=5)
         rng = RandomSource.seeded(1)
         with pytest.raises(AdmissibilityExhaustedError, match="attempts"):
-            split(1, params, rng, max_attempts=8)
+            split(1, params, rng)
 
     @pytest.mark.parametrize("p, t, n", [
         (7, 3, 10),  # t <= p: an admissible set needs n <= p
@@ -240,11 +274,12 @@ class TestSplit:
         # (8, 20) and (10, 20) take about 1-2 s a walk at 61 bits
         assert math.comb(21, 8) <= math.comb(21, 10) <= WORK_LIMIT < math.comb(25, 12)
 
-    def test_draws_as_the_plain_dealer(self):
+    def test_draws_as_the_plain_dealer(self, monkeypatch):
         # Same shares or the same error, and the generator left in the same
         # state, as the dealer that draws with sample_uniform and checks
-        # Share objects with admissible(); max_attempts=64 makes the tight
-        # cells exhaust inside the attempt loop.
+        # Share objects with admissible(); a cap of 64 attempts makes the
+        # tight cells exhaust inside the attempt loop.
+        monkeypatch.setattr(scheme, "DEFAULT_MAX_ATTEMPTS", 64)
         outcomes = set()
         for p in (2, 3, 5, 7, 11, 13, 31, 101, 2**31 - 1, 2**61 - 1):
             modulus = PrimeModulus(p)
@@ -256,7 +291,7 @@ class TestSplit:
                     for dealer in (split, split_by_definition):
                         rng = RandomSource.seeded(seed)
                         try:
-                            got = dealer(secret, params, rng, max_attempts=64)
+                            got = dealer(secret, params, rng)
                         except AdmissibilityExhaustedError as e:
                             got = (type(e), str(e))
                         results.append((got, rng._rng.getstate()))
@@ -290,13 +325,14 @@ class TestSplit:
             * pow(a1, -1, p) % p
         assert s == secret
 
-    def test_tight_small_case_is_exhaustion_or_valid(self):
+    def test_tight_small_case_is_exhaustion_or_valid(self, monkeypatch):
         # p=2, t=2, n=2 leaves almost no room; either outcome is
         # legitimate but a wrong answer is not
+        monkeypatch.setattr(scheme, "DEFAULT_MAX_ATTEMPTS", 64)
         params = SchemeParams(modulus=PrimeModulus(2), threshold=2, total=2)
         rng = RandomSource.seeded(3)
         try:
-            shares = split(1, params, rng, max_attempts=64)
+            shares = split(1, params, rng)
         except AdmissibilityExhaustedError:
             return
         assert reconstruct(shares) == 1
@@ -457,25 +493,6 @@ def test_split_reconstruct_property(p, t, extra, secret, seed):
         assert reconstruct(list(subset)) == secret
 
 
-def admissible_by_definition(shares):
-    """admissible() as its docstring defines it, subset by subset and by
-    textbook elimination, not the library's kernel: every t-subset has a
-    nonzero determinant, and no subset of fewer than t shares has e_1 in
-    its row space, i.e. adding e_1 leaves its rank unchanged."""
-    params = shares[0].params
-    p, t = params.modulus.p, params.threshold
-    rows = [list(s.coeffs) + [-1] for s in shares]
-    for sub in itertools.combinations(rows, t):
-        if eliminate_plainly(sub, p)[1] == 0:
-            return False
-    e1 = [1] + [0] * (t - 1)
-    for size in range(1, t):
-        for sub in itertools.combinations(rows, size):
-            if eliminate_plainly(sub + (e1,), p)[0] == eliminate_plainly(sub, p)[0]:
-                return False
-    return True
-
-
 def random_share_set(p, t, k, seed):
     rnd = random.Random(seed)
     params = SchemeParams(PrimeModulus(p), t, max(k, t))
@@ -508,11 +525,6 @@ def test_admissible_matches_definition_on_both_verdicts():
         verdicts.append((verdict, len(shares) >= t))
     # accepted and rejected sets both occur, with fewer than t shares and with more
     assert set(verdicts) == {(True, True), (True, False), (False, True), (False, False)}
-
-
-def independent_by_definition(rows, k, p):
-    """Every k of the rows independent, checked subset by subset."""
-    return all(eliminate_plainly(sub, p)[0] == k for sub in itertools.combinations(rows, k))
 
 
 def structured_rows(rnd, p, k, m):
