@@ -143,17 +143,19 @@ def _echelon(rows, p: int, ncols: int) -> tuple:
 
 
 def _solve(rows, p: int, n: int):
-    """The x with A x = b mod p, for the n rows of [A | b], as a list of
-    residues; None when A is singular."""
+    """The X with A X = B mod p, for the n rows of [A | B], as one list of
+    n residues per column of B; None when A is singular."""
     tails, _ = _echelon(rows, p, n)
     if len(tails) < n:
         return None
-    # Full rank puts pivot i in column i, so tail i covers columns i+1..n.
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        tail = tails[i]
-        x[i] = (tail[-1] - sum(u * v for u, v in zip(tail, x[i + 1:]))) % p
-    return x
+    # Full rank puts pivot i in column i: tail i holds columns i+1.. of [A | B].
+    cols = []
+    for b in range(n, len(rows[0])):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = (tails[i][b - i - 1] - sum(u * v for u, v in zip(tails[i], x[i + 1:]))) % p
+        cols.append(x)
+    return cols
 
 
 def _in_rowspace(v, rows, p: int) -> bool:
@@ -206,7 +208,7 @@ def solve(a: ModMatrix, b: ModVector) -> ModVector:
     x = _solve(rows, modulus.p, a.rows)
     if x is None:
         raise SingularMatrixError("matrix is singular mod p")
-    return ModVector(x, modulus)
+    return ModVector(x[0], modulus)
 
 
 def in_rowspace(v: ModVector, m: ModMatrix) -> bool:

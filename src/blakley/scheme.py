@@ -23,26 +23,29 @@ from .errors import (
 from .field import PrimeModulus, RandomSource, _uniform
 from .modlinalg import _in_rowspace, _solve
 
-# admissible() walks all C(n + 1, t) t-subsets of the n rows plus e_1, at
-# O(t) each, so n is capped. The cap still admits cells out of reach:
-# (32, 64) means C(65, 32) ~ 3.6e18 subsets.
+# admissible() checks all C(n + 1, t) t-subsets of the n rows plus e_1, so
+# n is capped. The cap still admits cells out of reach: (32, 64) means
+# C(65, 32) ~ 3.6e18 subsets.
 MAX_SHARES = 64
 
-# The most subsets one walk may check, in split() or admissible(). It keeps
+# The most subsets one check may cover, in split() or admissible(). It keeps
 # (8, 20) at 203,490 and (10, 20) at 352,716, about 1-2 s a walk at 61 bits,
-# and refuses (12, 24) at 5.2e6 and every larger cell.
+# and refuses (12, 24) at 5.2e6 and every larger cell. Thin cells cost less:
+# (60, 62), at 39,711, takes 0.03 s through the dual code.
 WORK_LIMIT = 10**6
 
 # The attempts split() makes before it gives up, read at each call.
 DEFAULT_MAX_ATTEMPTS = 1024
 
 
-def _require_int(name: str, value):
+def _not_int(name: str, value):
     # Name the type, never the value: the value may be a secret.
+    raise InvalidParamsError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def _require_int(name: str, value):
     if not isinstance(value, int):
-        raise InvalidParamsError(
-            f"{name} must be an integer, got {type(value).__name__}"
-        )
+        _not_int(name, value)
 
 
 def _require_walkable(k: int, t: int, what: str, consequence: str):
@@ -64,6 +67,10 @@ class SchemeParams(_Value):
     __slots__ = _fields = ("modulus", "threshold", "total")
 
     def __init__(self, modulus: PrimeModulus, threshold: int, total: int):
+        if not isinstance(modulus, PrimeModulus):
+            raise InvalidParamsError(
+                f"modulus must be a PrimeModulus, got {type(modulus).__name__}"
+            )
         _require_int("threshold", threshold)
         _require_int("total", total)
         if not 1 <= threshold <= total <= MAX_SHARES:
@@ -82,7 +89,8 @@ class SecretPoint(_Value):
 
     def __init__(self, coords: tuple, params: SchemeParams):
         p = params.modulus.p
-        coords = tuple(v % p for v in coords)
+        coords = tuple(v % p if isinstance(v, int) else _not_int("point coordinate", v)
+                       for v in coords)
         if len(coords) != params.threshold:
             raise InvalidParamsError(
                 f"point needs {params.threshold} coordinates, got {len(coords)}"
@@ -103,7 +111,9 @@ class Share(_Value):
     def __init__(self, index: int, coeffs: tuple, constant: int, params: SchemeParams):
         _require_int("share index", index)
         p = params.modulus.p
-        coeffs = tuple(v % p for v in coeffs)
+        coeffs = tuple(v % p if isinstance(v, int) else _not_int("share coefficient", v)
+                       for v in coeffs)
+        _require_int("share constant", constant)
         constant %= p
         if params.threshold < 2:
             raise InvalidParamsError("shares exist only for threshold >= 2")
@@ -155,9 +165,15 @@ def _independent(rows: list, k: int, p: int) -> bool:
     last nonzero column is eliminated from them and dropped. Elimination is
     thus shared by every subset with the same prefix. The walk builds no
     rows at k = 3: det(v, r, s) = (v x r).s, so it takes one cross product
-    per pair and one dot product per later row. k = 2, where only t = 2
-    walks start, is one 2x2 determinant per pair.
+    per pair and one dot product per later row. k = 2 is one 2x2
+    determinant per pair, and k = 1 asks only that every row be nonzero.
+
+    Each node rebuilds the rows below it, so when N is close to k the walk
+    costs far more than its C(N, k) subsets: (48, 50) has 20,825, and its
+    walk takes seconds. _independence_check sends such sets to the dual.
     """
+    if k == 1:
+        return all(r[0] for r in rows)
     if k == 3:
         for i, (a, b, c) in enumerate(rows):
             for j in range(i + 1, len(rows) - 1):
@@ -187,6 +203,30 @@ def _independent(rows: list, k: int, p: int) -> bool:
     return True
 
 
+def _independent_dual(rows: list, k: int, p: int) -> bool:
+    """_independent(rows, k, p), walked at dimension N - k for N rows.
+
+    Every k rows are independent iff the k x N matrix with the rows as
+    columns generates an MDS code, and the dual of an MDS code is MDS
+    (MacWilliams & Sloane 1977, ch. 11, Thm 2). Unless its first k columns
+    A are singular, it spans [I | X] with X = A^-1 B for the other columns
+    B, and [-X^T | I] spans the dual: so walk X's rows and the unit vectors.
+    """
+    m = len(rows) - k
+    x = _solve(list(zip(*rows)), p, k)
+    if x is None:
+        return False
+    units = [[int(i == j) for j in range(m)] for i in range(m)]
+    return not m or _independent([list(r) for r in zip(*x)] + units, m, p)
+
+
+def _independence_check(k: int, count: int):
+    """The dual when its walk is at most half as deep, else the walk. The
+    looser count - k < k would make each reject at (t, n) = (4, 6) pay an
+    elimination."""
+    return _independent_dual if 2 * (count - k) <= k else _independent
+
+
 def admissible(shares) -> bool:
     """Whether a share set is safe to hand out.
 
@@ -202,8 +242,11 @@ def admissible(shares) -> bool:
     (b) applies, and since a leaking subset leaks in every superset, it is
     the one check that e_1 lies outside the row space of all of them.
 
-    The cost is that of the walk: C(k + 1, t) subsets for k >= t shares,
-    so it grows exponentially with k. Above WORK_LIMIT there is no verdict:
+    For k >= t shares the check covers C(k + 1, t) subsets, so it grows
+    exponentially with k. It is one walk at depth t, or, when
+    2(k + 1 - t) <= t, one elimination and a walk at depth k + 1 - t on the
+    dual code (_independence_check); at k = t that is one elimination and
+    k + 1 nonzero tests. Above WORK_LIMIT there is no verdict:
     the set is refused before the walk starts, as split() refuses such a
     cell before it draws anything.
 
@@ -219,7 +262,7 @@ def admissible(shares) -> bool:
         return not _in_rowspace(e1, rows, p)
     _require_walkable(len(rows), t, f"{len(rows)} shares at t={t}",
                       "admissible() gives no verdict")
-    return _independent([e1] + rows, t, p)
+    return _independence_check(t, len(rows) + 1)([e1] + rows, t, p)
 
 
 def _require_splittable(params: SchemeParams):
@@ -232,7 +275,8 @@ def split(secret: int, params: SchemeParams, rng: RandomSource) -> list:
 
     Draw, check, then build. Each attempt draws the remaining coordinates
     of Q and then all n(t-1) plane coefficients uniformly, as plain ints,
-    and checks the rows as admissible() does. Only the accepted attempt
+    and checks the rows as admissible() does, through the walk or the dual
+    that _independence_check picks once per call. Only the accepted attempt
     gets constants, solved so each plane passes through Q, and Share
     objects. The draws are sample_uniform's, in the same order, so a
     seeded rng gives the same shares and is left in the same state.
@@ -273,13 +317,14 @@ def split(secret: int, params: SchemeParams, rng: RandomSource) -> list:
         )
     _require_walkable(n, t, f"one share set for p={p}, t={t}, n={n}",
                       "no attempts are made")
+    independent = _independence_check(t, n + 1)
     draws = _uniform(rng, p)
     e1 = [1] + [0] * (t - 1)
     for _ in range(DEFAULT_MAX_ATTEMPTS):
         coords = [secret, *islice(draws, t - 1)]
         # Row form of each plane, as _normal_rows gives it.
         rows = [[*islice(draws, t - 1), p - 1] for _ in range(n)]
-        if _independent([e1] + rows, t, p):
+        if independent([e1] + rows, t, p):
             # row . Q = a . x - x_t = -c
             return [Share(i, row[:-1], -sum(a * x for a, x in zip(row, coords)) % p, params)
                     for i, row in enumerate(rows, 1)]
@@ -318,7 +363,7 @@ def reconstruct_point(shares) -> SecretPoint:
         raise SingularSharesError(
             "shares are inconsistent or not admissible (singular system)"
         )
-    return SecretPoint(x, params)
+    return SecretPoint(x[0], params)
 
 
 def reconstruct(shares) -> int:

@@ -99,6 +99,19 @@ class TestSplit:
         assert err.startswith("error: ") and "WORK_LIMIT" in err and "attempts" in err
         assert not out.exists()
 
+    def test_thin_cell_split_exits_in_bounded_time(self, tmp_path):
+        # (48, 50) takes seconds as a walk 48 levels deep; the dual check
+        # is one elimination and a walk at dimension 3
+        out = tmp_path / "thin"
+        proc = subprocess.run(
+            [sys.executable, "-m", "blakley", "split", "--secret", "5",
+             "--prime", str(2**61 - 1), "--threshold", "48", "--shares", "50",
+             "--out", str(out), "--seed", "1"],
+            capture_output=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(out.iterdir())) == 50
+
     def test_seed_help_says_a_seeded_split_is_only_as_secret_as_its_seed(self, capsys):
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["split", "--help"])

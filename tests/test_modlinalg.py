@@ -17,6 +17,7 @@ from blakley import (
     rank,
     solve,
 )
+from blakley.modlinalg import _solve
 
 from conftest import det_cofactor, eliminate_plainly, solve_exhaustive
 
@@ -256,6 +257,25 @@ def test_solve_property(n, consistent, data):
     else:
         with pytest.raises(SingularMatrixError):
             solve(ModMatrix(rows, m), ModVector(b, m))
+
+
+@pytest.mark.parametrize("n, width", [(1, 2), (3, 4), (3, 7), (5, 6), (5, 9)])
+def test_private_solve_back_substitutes_every_column_right_of_n(n, width):
+    # one elimination of [A | B] gives A^-1 B, one list per column of B,
+    # each equal to the solution for that column alone
+    rnd = random.Random(n * 10 + width)
+    for p in (2, 5, 13, 2**61 - 1):
+        for _ in range(10):
+            rows = [[rnd.randrange(p) for _ in range(width)] for _ in range(n)]
+            cols = _solve(rows, p, n)
+            if eliminate_plainly([r[:n] for r in rows], p)[0] < n:
+                assert cols is None
+                continue
+            assert len(cols) == width - n
+            # A is nonsingular, so A x = b pins x down
+            for c, x in enumerate(cols):
+                assert [sum(a * v for a, v in zip(r, x)) % p for r in rows] == \
+                    [r[n + c] for r in rows]
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -28,7 +28,7 @@ from blakley import (
     verify_share,
 )
 from blakley import scheme
-from blakley.scheme import WORK_LIMIT, _independent
+from blakley.scheme import WORK_LIMIT, _independence_check, _independent, _independent_dual
 
 from conftest import (
     REFERENCE_POINT,
@@ -569,3 +569,96 @@ def test_walk_leaf_exhaustively_at_p_2(m):
     for entries in itertools.product((0, 1), repeat=3 * m):
         rows = [list(entries[3 * i:3 * i + 3]) for i in range(m)]
         assert _independent(rows, 3, 2) is independent_by_definition(rows, 3, 2), rows
+
+
+def test_dual_side_is_chosen_from_k_and_count_alone():
+    # the dual when its walk, count - k deep, is at most half of k deep
+    assert _independence_check(32, 33) is _independent_dual  # (32, 32)
+    assert _independence_check(48, 51) is _independent_dual  # (48, 50)
+    assert _independence_check(4, 6) is _independent_dual  # (4, 5)
+    # every deal, deal-tight and cli cell of the benchmark stays on the walk
+    for t, n in ((3, 5), (3, 6), (3, 8), (4, 6), (4, 8), (4, 16), (5, 10), (5, 12), (5, 16)):
+        assert _independence_check(t, n + 1) is _independent, (t, n)
+
+
+def with_dependent_head(rnd, rows, k, p):
+    """rows with rows[k-1] replaced by a combination of rows[:k-1], so the
+    first k rows, the basis the dual solves against, are dependent."""
+    head = rows[:k - 1]
+    row = [sum(rnd.randrange(p) * r[j] for r in head) % p for j in range(k)]
+    return head + [row] + rows[k:]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_dual_matches_subset_oracle(k):
+    # m = k..2k covers both sides of the rule: the dual is chosen for
+    # m <= 1.5k, the walk above it; both must give the oracle's verdict
+    rnd = random.Random(100 + k)
+    verdicts = set()
+    for p in (2, 3, 5, 7, 11, 13, 2**61 - 1):
+        for m in range(k, 2 * k + 1):
+            for trial in range(4):
+                rows = structured_rows(rnd, p, k, m)
+                if trial == 1:
+                    rows = with_dependent_head(rnd, rows, k, p)
+                elif trial == 2:
+                    rows[rnd.randrange(m)] = [0] * k
+                expected = independent_by_definition(rows, k, p)
+                assert _independent_dual(rows, k, p) is expected, (p, m, rows)
+                assert _independence_check(k, m)(rows, k, p) is expected, (p, m, rows)
+                verdicts.add(expected)
+            # independent sets too, which structured rows rarely give at small p
+            rows = [[rnd.randrange(p) for _ in range(k)] for _ in range(m)]
+            expected = independent_by_definition(rows, k, p)
+            assert _independent_dual(rows, k, p) is expected, (p, m, rows)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_dual_exhaustively_at_p_2():
+    # k = 3, m = 4 is on the dual's side: one elimination, then a walk at
+    # dimension 1 over X's three entries and one unit vector
+    assert _independence_check(3, 4) is _independent_dual
+    verdicts = set()
+    for entries in itertools.product((0, 1), repeat=12):
+        rows = [list(entries[3 * i:3 * i + 3]) for i in range(4)]
+        expected = independent_by_definition(rows, 3, 2)
+        assert _independent_dual(rows, 3, 2) is expected, rows
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_k_1_asks_only_for_nonzero_rows(m):
+    for entries in itertools.product(range(3), repeat=m):
+        rows = [[v] for v in entries]
+        expected = independent_by_definition(rows, 1, 3)
+        assert expected is all(entries)
+        assert _independent(rows, 1, 3) is expected, rows
+        assert _independent_dual(rows, 1, 3) is expected, rows
+
+
+def test_admissible_on_exactly_t_shares_matches_definition():
+    # k = t shares are t + 1 vectors at dimension t: always the dual's side
+    rnd = random.Random(28)
+    verdicts = set()
+    for p in (2, 3, 5, 7, 11, 13, 2**61 - 1):
+        for t in range(2, 7):
+            for _ in range(6):
+                shares = random_share_set(p, t, t, rnd.getrandbits(32))
+                verdict = admissible(shares)
+                assert verdict is admissible_by_definition(shares), (p, t)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("t, n", [(48, 50), (60, 62)])
+def test_thin_cells_split_in_bounded_time(t, n):
+    # the walk alone takes seconds at (48, 50); the dual takes one
+    # elimination and a walk at dimension n + 1 - t = 3
+    params = SchemeParams(PrimeModulus(2**61 - 1), t, n)
+    start = time.perf_counter()
+    shares = split(12345, params, RandomSource.seeded(t))
+    assert time.perf_counter() - start < 2
+    assert len(shares) == n
+    assert reconstruct(shares[:t]) == reconstruct(shares[-t:]) == 12345

@@ -158,6 +158,11 @@ class TestConstruction:
     def test_share_coefficients_become_a_tuple(self):
         assert Share(1, [4, 19], 68, params73()).coeffs == (4, 19)
 
+    def test_bools_are_accepted_as_ints(self):
+        # bool is a subclass of int, so True and False read as 1 and 0
+        share = Share(1, (True, False), True, params73())
+        assert share.coeffs == (1, 0) and share.constant == 1
+
     def test_point_reduces_its_coordinates(self):
         point = SecretPoint([42 + 73, -44, 57], params73())
         assert point.coords == (42, 29, 57)
@@ -177,6 +182,17 @@ class TestConstruction:
          "share index 6 outside 1..5"),
         (lambda: Share(1, (4,), 68, params73()), InvalidParamsError,
          "expected 2 coefficients, got 1"),
+        # wrong types: the message names the type, never the value
+        (lambda: SchemeParams(73, 3, 5), InvalidParamsError,
+         "modulus must be a PrimeModulus, got int"),
+        (lambda: Share(1, (4.0, 19), 68, params73()), InvalidParamsError,
+         "share coefficient must be an integer, got float"),
+        (lambda: Share(1, ("4", 19), 68, params73()), InvalidParamsError,
+         "share coefficient must be an integer, got str"),
+        (lambda: Share(1, (4, 19), 68.5, params73()), InvalidParamsError,
+         "share constant must be an integer, got float"),
+        (lambda: SecretPoint((42.0, 29, 57), params73()), InvalidParamsError,
+         "point coordinate must be an integer, got float"),
     ])
     def test_errors_and_messages(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
