@@ -195,7 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--seed", type=int, default=None,
                          help="deterministic randomness for reproducible shares; a seeded"
                          " split is only as secret as the seed, since the seed and one"
-                         " share give the secret")
+                         " share give the secret, and at p = 2^61-1 shares 1..t-1 gave"
+                         " it whatever the seed in every cell tried with t >= 24;"
+                         " smaller cells are not known to be safe")
     p_split.set_defaults(func=cmd_split)
 
     p_combine = sub.add_parser("combine", help="recover the secret from t share files")

@@ -114,6 +114,11 @@ class RandomSource:
         A split dealt from it is only as secret as the seed: split()'s
         draws never depend on the secret, so whoever knows the seed
         replays Q's free coordinates, and one share then gives the secret.
+        Nor do its holders need the seed. MT19937 is linear over GF(2),
+        and at p = 2**61 - 1 shares 1..t-1 of a seeded split gave the
+        secret, whatever the seed, in every cell tried with t >= 24:
+        (t, n) = (24, 24), (28, 28), (32, 32), (24, 25), (25, 27) and
+        (30, 31). Smaller cells are not known to be safe.
         """
         return cls(random.Random(seed))
 
@@ -131,8 +136,12 @@ class RandomSource:
 
 def _uniform(rng: RandomSource, p: int):
     # Uniform residues in [0, p), lazily and forever: each costs only the
-    # bit_length(p)-bit draws up to the first one below p.
-    return filter(p.__gt__, map(rng.getrandbits, repeat(p.bit_length())))
+    # bit_length(p)-bit draws up to the first one below p. A plain
+    # RandomSource lends its generator's own getrandbits, the same stream
+    # without a Python call per draw; any other source, a subclass
+    # included, has its own getrandbits called once per draw.
+    draw = rng._rng.getrandbits if type(rng) is RandomSource else rng.getrandbits
+    return filter(p.__gt__, map(draw, repeat(p.bit_length())))
 
 
 def sample_uniform(rng: RandomSource, modulus: PrimeModulus) -> int:

@@ -48,6 +48,13 @@ def _require_int(name: str, value):
         _not_int(name, value)
 
 
+def _require_a(cls, name: str, value):
+    if not isinstance(value, cls):
+        raise InvalidParamsError(
+            f"{name} must be a {cls.__name__}, got {type(value).__name__}"
+        )
+
+
 def _require_walkable(k: int, t: int, what: str, consequence: str):
     subsets = math.comb(k + 1, t)
     if subsets > WORK_LIMIT:
@@ -67,10 +74,7 @@ class SchemeParams(_Value):
     __slots__ = _fields = ("modulus", "threshold", "total")
 
     def __init__(self, modulus: PrimeModulus, threshold: int, total: int):
-        if not isinstance(modulus, PrimeModulus):
-            raise InvalidParamsError(
-                f"modulus must be a PrimeModulus, got {type(modulus).__name__}"
-            )
+        _require_a(PrimeModulus, "modulus", modulus)
         _require_int("threshold", threshold)
         _require_int("total", total)
         if not 1 <= threshold <= total <= MAX_SHARES:
@@ -134,6 +138,8 @@ class Share(_Value):
 def _shared_params(shares) -> SchemeParams:
     if not shares:
         raise WrongShareCountError("at least one share is required")
+    for s in shares:
+        _require_a(Share, "share", s)
     params = shares[0].params
     for s in shares[1:]:
         if s.params != params:
@@ -163,7 +169,9 @@ def _independent(rows: list, k: int, p: int) -> bool:
     Depth-first: the k-subsets that start with rows[i] are independent iff
     rows[i] is nonzero and every k-1 of the later rows are, once rows[i]'s
     last nonzero column is eliminated from them and dropped. Elimination is
-    thus shared by every subset with the same prefix. The walk builds no
+    thus shared by every subset with the same prefix. A pivot whose last
+    nonzero entry is in column 0, as e_1's always is, eliminates nothing:
+    the rows below it are the later rows without column 0. The walk builds no
     rows at k = 3: det(v, r, s) = (v x r).s, so it takes one cross product
     per pair and one dot product per later row. k = 2 is one 2x2
     determinant per pair, and k = 1 asks only that every row be nonzero.
@@ -194,10 +202,13 @@ def _independent(rows: list, k: int, p: int) -> bool:
             col -= 1
         if col < 0:
             return False
-        neg_inv = p - pow(pivot[col], -1, p)
-        head = [v * neg_inv % p for v in pivot[:col]]
-        rest = [[(a + r[col] * b) % p for a, b in zip(r, head)] + r[col + 1:]
-                for r in rows[i + 1:]]
+        if col:
+            neg_inv = p - pow(pivot[col], -1, p)
+            head = [v * neg_inv % p for v in pivot[:col]]
+            rest = [[(a + r[col] * b) % p for a, b in zip(r, head)] + r[col + 1:]
+                    for r in rows[i + 1:]]
+        else:
+            rest = [r[1:] for r in rows[i + 1:]]
         if not _independent(rest, k - 1, p):
             return False
     return True
@@ -335,6 +346,8 @@ def split(secret: int, params: SchemeParams, rng: RandomSource) -> list:
 
 def verify_share(share: Share, point: SecretPoint) -> bool:
     """Whether the share's hyperplane passes through the point."""
+    _require_a(Share, "share", share)
+    _require_a(SecretPoint, "point", point)
     if share.params != point.params:
         raise MixedParamsError("share and point use different parameters")
     p = share.params.modulus.p

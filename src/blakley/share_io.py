@@ -76,19 +76,23 @@ def decode_share(record: str) -> Share:
     """Parse one BLK1 line back into a Share.
 
     A single trailing linefeed is tolerated; everything else must match
-    the grammar byte for byte. Checks run in a fixed order: magic, then
-    grammar, then p, then coefficient arity, then values below p, then
-    the ranges of t, n and i, which SchemeParams and Share check.
+    the grammar byte for byte. Checks run in a fixed order: the record's
+    type (str, never bytes), then magic, then grammar, then p, then
+    coefficient arity, then values below p, then the ranges of t, n and
+    i, which SchemeParams and Share check.
 
     Raises:
         BadMagicError: first token is not BLK1.
-        MalformedFieldError: grammar violation or wrong coefficient count.
+        MalformedFieldError: record is not a str, grammar violation or
+            wrong coefficient count.
         NonPrimeModulusError: p is composite or below 2.
         RangeViolationError: p outside the supported width, value >= p,
             t > n, n too large or i outside 1..n. A number of more than 19
             digits is never parsed: it fails the first of these checks
             that bounds it, as any 20-digit number does.
     """
+    if not isinstance(record, str):
+        raise MalformedFieldError(f"record must be a str, got {type(record).__name__}")
     line = record[:-1] if record.endswith("\n") else record
     if line.split(" ", 1)[0] != _MAGIC:
         raise BadMagicError("record does not start with BLK1")

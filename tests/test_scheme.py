@@ -358,6 +358,54 @@ class TestSplit:
         assert h.hexdigest() == GOLDEN_DIGEST
 
 
+class CountingRandom(random.Random):
+    """random.Random that counts the draws made from it."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+class SpySource(RandomSource):
+    """A RandomSource subclass that counts calls of its own getrandbits."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class TestDrawBinding:
+    # A plain RandomSource is drawn from through its generator's own
+    # getrandbits; a subclass keeps its override, called once per draw.
+    @pytest.mark.parametrize("p", [7, 101, 2**31 - 1, 2**61 - 1])
+    def test_a_subclass_is_called_once_per_draw(self, p):
+        params = SchemeParams(PrimeModulus(p), 3, 5)
+        plain = RandomSource.seeded(p)
+        spy = SpySource(random.Random(p))
+        counted = RandomSource(CountingRandom(p))
+        shares = split(1, params, plain)
+        assert split(1, params, spy) == shares == split(1, params, counted)
+        assert spy._rng.getstate() == plain._rng.getstate()
+        # an attempt draws t - 1 coordinates and n(t - 1) coefficients
+        assert spy.calls == counted._rng.draws >= 2 + 5 * 2
+
+    def test_a_source_without_draws_still_raises(self, reference_params):
+        with pytest.raises(AssertionError, match="split drew randomness"):
+            split(1, reference_params, NoDraws())
+        with pytest.raises(AssertionError, match="split drew randomness"):
+            sample_uniform(NoDraws(), PrimeModulus(7))
+
+    def test_a_system_generator_split_round_trips(self):
+        params = SchemeParams(PrimeModulus(2**61 - 1), 4, 6)
+        shares = split(31337, params, RandomSource(random.SystemRandom()))
+        assert admissible(shares)
+        assert reconstruct(shares[:4]) == reconstruct(shares[2:]) == 31337
+
+
 class TestReconstruct:
     def test_reference_subsets(self, reference_shares):
         # every 3-subset reconstructs; the pair {1, 5} leaks but its
@@ -453,6 +501,24 @@ class TestVerifyShare:
         point = SecretPoint(coords=(1, 2, 3), params=other)
         with pytest.raises(MixedParamsError):
             verify_share(reference_shares[0], point)
+
+
+class TestWrongItems:
+    # Items that are not a Share or SecretPoint raise the documented error,
+    # naming the type only, not AttributeError from reading .params.
+    @pytest.mark.parametrize("call, message", [
+        (lambda share: reconstruct([1, 2, 3]), "share must be a Share, got int"),
+        (lambda share: admissible([1, 2]), "share must be a Share, got int"),
+        (lambda share: reconstruct_point((share, "x", share)),
+         "share must be a Share, got str"),
+        (lambda share: candidate_secrets([object()]), "share must be a Share, got object"),
+        (lambda share: verify_share("x", None), "share must be a Share, got str"),
+        (lambda share: verify_share(share, None),
+         "point must be a SecretPoint, got NoneType"),
+    ])
+    def test_refused_with_the_type_named(self, reference_shares, call, message):
+        with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+            call(reference_shares[0])
 
 
 class TestTamperPropagation:
@@ -569,6 +635,45 @@ def test_walk_leaf_exhaustively_at_p_2(m):
     for entries in itertools.product((0, 1), repeat=3 * m):
         rows = [list(entries[3 * i:3 * i + 3]) for i in range(m)]
         assert _independent(rows, 3, 2) is independent_by_definition(rows, 3, 2), rows
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_walk_with_column_0_pivots_matches_subset_oracle(k):
+    # e_1, or a multiple of it, first, in the middle or last: a pivot whose
+    # only nonzero entry is in column 0 drops that column from the rows
+    # below it; a second such row must then fail as a zero row
+    rnd = random.Random(200 + k)
+    verdicts = set()
+    for p in (2, 3, 5, 7, 13, 2**61 - 1):
+        for m in (k, k + 1, k + 3):
+            for pos in (0, m // 2, m - 1):
+                for units in (1, 1, 2):
+                    rows = [[rnd.randrange(p) for _ in range(k)] for _ in range(m - units)]
+                    for _ in range(units):
+                        a = rnd.choice([1, rnd.randrange(1, p)])
+                        rows.insert(min(pos, len(rows)), [a] + [0] * (k - 1))
+                    expected = independent_by_definition(rows, k, p)
+                    assert _independent(rows, k, p) is expected, (p, rows)
+                    verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_walk_with_e1_exhaustively_at_p_2():
+    # every set of five rows at p = 2, k = 4 with e_1 first, in the middle
+    # or last; the oracle's verdict depends only on the set, so it is
+    # computed once per set
+    oracle = {}
+    verdicts = set()
+    for others in itertools.product(itertools.product((0, 1), repeat=4), repeat=4):
+        key = tuple(sorted(others))
+        if key not in oracle:
+            oracle[key] = independent_by_definition([[1, 0, 0, 0], *key], 4, 2)
+        for pos in (0, 2, 4):
+            rows = [list(r) for r in others]
+            rows.insert(pos, [1, 0, 0, 0])
+            assert _independent(rows, 4, 2) is oracle[key], rows
+        verdicts.add(oracle[key])
+    assert verdicts == {True, False}
 
 
 def test_dual_side_is_chosen_from_k_and_count_alone():

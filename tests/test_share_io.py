@@ -52,6 +52,11 @@ class TestDecodeRoundTrip:
 
 
 class TestDecodeErrors:
+    def test_bytes_are_not_a_record(self):
+        # decode_share takes a str, as the CLI passes it after its ASCII check
+        with pytest.raises(MalformedFieldError, match="^record must be a str, got bytes$"):
+            decode_share(b"BLK1 p=73 t=3 n=5 i=1 a=4,19 c=68\n")
+
     @pytest.mark.parametrize("record", [
         "BLAK1 p=73 t=3 n=5 i=1 a=4,19 c=68",
         "blk1 p=73 t=3 n=5 i=1 a=4,19 c=68",
